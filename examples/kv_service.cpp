@@ -4,15 +4,17 @@
 // The pipeline this demonstrates end to end:
 //
 //   client send_batch ──TCP──▶ worker reads one WAVE of frames
-//                              ├─ PUT/DEL  → async publish into the
-//                              │             flat combiner (no wait)
+//                              ├─ PUT/DEL  → staged in the worker's
+//                              │             open run (no store call)
 //                              ├─ GET/...  → barrier: harvest, then run
-//                              └─ harvest  → ONE combined transaction
-//                                            commits the whole wave
+//                              └─ harvest  → ONE apply_batch commits the
+//                                            run, one transaction per
+//                                            shard per 64 mutations
 //                              one writev acks the wave ──▶ client
 //
 // so a batch of B pipelined mutations costs one syscall each way and one
-// commit CAS total, instead of B round trips and B transactions. Every
+// commit CAS per shard it touches, instead of B round trips and B
+// transactions. Every
 // ack the client reads is a commit-proof: the server encodes a response
 // only after the mutation's transaction committed.
 //
@@ -31,16 +33,16 @@ using medley::store::StoreConfig;
 namespace net = medley::net;
 
 int main() {
-  // The store: two shards, flat-combining group commit on, metrics on
-  // (the net layer registers its families into the same registry, so one
-  // METRICS scrape shows the whole request path).
+  // The store: two shards, flat-combining group commit on for in-process
+  // callers, metrics on (the net layer registers its families into the
+  // same registry, so one METRICS scrape shows the whole request path).
   StoreConfig cfg;
   cfg.combining.enabled = true;
   cfg.metrics = true;
   cfg.metrics_registry = std::make_shared<medley::obs::MetricsRegistry>();
   ShardedMedleyStore<std::uint64_t, std::uint64_t> kv(2, cfg);
 
-  // The server: epoll workers feeding the combiner, ephemeral port.
+  // The server: epoll workers committing each wave's runs, ephemeral port.
   net::StoreAdapter<decltype(kv)> adapter(&kv);
   net::NetConfig ncfg;
   ncfg.workers = 2;
@@ -50,7 +52,8 @@ int main() {
   std::printf("serving on 127.0.0.1:%u\n", server.port());
 
   // A pipelined writer: 64 PUTs leave in ONE syscall, arrive as one wave,
-  // and commit as combined batches — then a GET barrier reads its writes.
+  // and commit as one group commit per shard — then a GET barrier reads
+  // its writes.
   std::thread writer([&] {
     net::Client c("127.0.0.1", server.port());
     std::vector<net::Request> batch;
@@ -95,9 +98,9 @@ int main() {
                   ? "net families present"
                   : "net families MISSING");
 
-  // Graceful shutdown: in-flight waves are harvested (draining the
-  // combiner) and flushed before stop() returns; only then may the store
-  // be torn down.
+  // Graceful shutdown: in-flight waves are harvested (committing their
+  // staged runs) and flushed before stop() returns; only then may the
+  // store be torn down.
   server.stop();
   std::printf("server drained and stopped; %lu requests served\n",
               static_cast<unsigned long>(server.requests()));

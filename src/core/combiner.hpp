@@ -27,19 +27,18 @@
 //     thread's batch never takes the lock at all).
 //
 // The combiner is generic over the request/result types: the store glue
-// (basic_store.hpp) instantiates it with its put/del/rmw op records and
-// supplies a batch executor that runs the whole batch inside one store
-// transaction. Publication slots double as the completion cells of the
-// async submit path (BasicMedleyStore::async_put / TxExecutor::submit's
-// TxFuture): an op can be published without waiting and harvested later,
-// which is how callers pipeline instead of blocking per op.
+// (basic_store.hpp) instantiates it with its Mutation record and supplies a
+// batch executor that runs the whole batch inside one store transaction.
+// It exists for in-process callers on MANY threads (each a blocking
+// submit); a producer that already holds a run of ops — the network
+// server's wave — hands the run to BasicMedleyStore::apply_batch instead,
+// which needs no publication list to form the batch.
 //
 // Liveness: a publisher that cannot find a free slot helps combine (sync
 // submitters always release their slot on return, so slots cycle as long
-// as batches keep executing). Async publishers use try_publish, which
-// never blocks: when every slot is parked under an unharvested future the
-// caller falls back to eager execution (the store does), so pipeline depth
-// is bounded by the slot count, never deadlocked.
+// as batches keep executing), and a waiter whose slot is still pending
+// takes the lock whenever it is free, so a stalled combiner can never
+// strand a published op.
 //
 // This header depends only on util/ and obs/trace.hpp (itself util-only),
 // mirroring tx_exec.hpp, so core and store layers can both use it.
@@ -58,18 +57,8 @@
 
 namespace medley::core {
 
-/// What the combiner does with the lock after executing one batch.
-enum class CombinerHandoff : std::uint8_t {
-  /// Keep the lock and keep draining while ops are pending (classic flat
-  /// combining: maximum amortization, combiner-biased latency).
-  kSticky = 0,
-  /// Release after every batch so the combiner role rotates among the
-  /// waiters (fairer tail latency under sustained churn; slightly more
-  /// lock traffic).
-  kRotate = 1,
-};
-
-/// Hard ceiling on ops combined into one transaction. Every batched store
+/// Hard ceiling on ops combined into one transaction — a combiner batch or
+/// one chunk of BasicMedleyStore::apply_batch. Every batched store
 /// op costs a handful of descriptor write entries (primary put + secondary
 /// remove/insert + feed enqueue), so a batch far larger than this would
 /// press against Desc::kWriteCap and Capacity-abort deterministically —
@@ -79,7 +68,7 @@ enum class CombinerHandoff : std::uint8_t {
 inline constexpr std::size_t kMaxCombinedBatch = 64;
 
 /// Ceiling on publication slots (a memory bound, not a concurrency limit:
-/// slots beyond the thread count only add async pipeline depth).
+/// slots beyond the number of publishing threads stay idle).
 inline constexpr std::size_t kMaxCombinerSlots = 1024;
 
 /// The StoreConfig::combining knob block (validated by
@@ -87,12 +76,11 @@ inline constexpr std::size_t kMaxCombinerSlots = 1024;
 /// values clamp, config() reports the effective values).
 struct CombinerConfig {
   bool enabled = false;
-  /// Publication slots (≈ concurrent publishers + async pipeline depth).
+  /// Publication slots (≈ concurrent publishers).
   std::size_t slots = 64;
   /// Ops combined into one transaction (clamped to kMaxCombinedBatch and
   /// to `slots` — a batch can never hold more than every slot).
   std::size_t max_batch = 32;
-  CombinerHandoff handoff = CombinerHandoff::kSticky;
 };
 
 template <typename Req, typename Res>
@@ -118,27 +106,14 @@ class FlatCombiner {
   };
 
   FlatCombiner(std::size_t nslots, std::size_t max_batch,
-               CombinerHandoff handoff, obs::TraceRing* trace = nullptr)
-      : nslots_(nslots), max_batch_(max_batch), handoff_(handoff),
-        trace_(trace), slots_(nslots) {
+               obs::TraceRing* trace = nullptr)
+      : nslots_(nslots), max_batch_(max_batch), trace_(trace),
+        slots_(nslots) {
     batch_.reserve(max_batch_);
   }
 
   FlatCombiner(const FlatCombiner&) = delete;
   FlatCombiner& operator=(const FlatCombiner&) = delete;
-
-  std::size_t slot_count() const { return nslots_; }
-  std::size_t max_batch() const { return max_batch_; }
-  CombinerHandoff handoff() const { return handoff_; }
-
-  /// Batches executed / ops combined so far (relaxed monotone counters;
-  /// the store exposes them as the combined-ops observables).
-  std::uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t combined_ops() const {
-    return combined_ops_.load(std::memory_order_relaxed);
-  }
 
   /// Publish `req` and wait until some combiner (possibly this thread)
   /// executed it; returns the result or rethrows the batch's error.
@@ -154,37 +129,18 @@ class FlatCombiner {
     return consume(s);
   }
 
-  // ---- async surface (the store's TxFuture plumbing) ----------------------
+  // ---- the steps submit() is built from ---------------------------------
 
   /// Publish without waiting; nullptr when no slot is free (every slot
-  /// claimed by a concurrent publisher or parked under an unharvested
-  /// future) — the caller falls back to eager execution. Never blocks.
-  /// `req` is moved from ONLY on success: a nullptr return leaves the
-  /// caller's request untouched, so it can be retried or executed eagerly
-  /// (the store's slot-exhaustion fallback depends on this).
+  /// claimed by a concurrent publisher). Never blocks. `req` is moved
+  /// from ONLY on success: a nullptr return leaves the caller's request
+  /// untouched, so the blocking publish loop retries the original.
   Slot* try_publish(Req&& req) {
     Slot* s = try_claim();
     if (s == nullptr) return nullptr;
     s->op.req = std::move(req);
     s->state.store(kPending, std::memory_order_release);
     return s;
-  }
-
-  /// True once `s` has been executed (result or error is readable).
-  bool done(const Slot* s) const {
-    return s->state.load(std::memory_order_acquire) == kDone;
-  }
-
-  /// Non-blocking progress: become the combiner for one drain if the lock
-  /// is free. The poll path of an async future — a lone thread polling
-  /// ready() must be able to complete its own op when no other combiner
-  /// ever shows up.
-  template <typename ExecBatch>
-  void help(ExecBatch&& exec) {
-    if (try_lock()) {
-      combine(nullptr, exec);
-      unlock();
-    }
   }
 
   /// Block (helping: become the combiner whenever the lock is free) until
@@ -200,7 +156,7 @@ class FlatCombiner {
         // combiner handed us a finished result without us ever taking
         // the lock. aux = how many pacing rounds we waited for it.
         if (!combined_myself && trace_ != nullptr) {
-          trace_->emit(obs::TraceEvent::kCombinerHandoff, 0,
+          trace_->emit(obs::TraceEvent::kCombineHandoff, 0,
                        static_cast<std::uint32_t>(spins));
         }
         return;
@@ -273,11 +229,11 @@ class FlatCombiner {
 
   /// Lock-holding drain: gather up to max_batch pending ops (always
   /// including `mine`, when given and pending), run them through `exec` as
-  /// one transaction, post results. kSticky keeps draining while ops keep
-  /// arriving; kRotate stops after one batch so the role rotates.
+  /// one transaction, post results, and keep draining while ops keep
+  /// arriving (classic sticky flat combining: maximum amortization).
   template <typename ExecBatch>
   void combine(Slot* mine, ExecBatch&& exec) {
-    do {
+    for (;;) {
       batch_.clear();
       if (mine != nullptr &&
           mine->state.load(std::memory_order_acquire) == kPending) {
@@ -305,14 +261,8 @@ class FlatCombiner {
         if (batch_err) s->op.err = batch_err;
         s->state.store(kDone, std::memory_order_release);
       }
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      combined_ops_.fetch_add(batch_.size(), std::memory_order_relaxed);
-      if (trace_ != nullptr) {
-        trace_->emit(obs::TraceEvent::kCombineBatch, 0,
-                     static_cast<std::uint32_t>(batch_.size()));
-      }
       mine = nullptr;  // mine is done after the first round
-    } while (handoff_ == CombinerHandoff::kSticky);
+    }
   }
 
   /// Waiter pacing: short escalating spin, then yield — the same
@@ -330,13 +280,10 @@ class FlatCombiner {
 
   const std::size_t nslots_;
   const std::size_t max_batch_;
-  const CombinerHandoff handoff_;
   obs::TraceRing* trace_;
   util::Padded<std::atomic<std::uint32_t>> lock_{};
   std::vector<Slot> slots_;
   std::vector<Slot*> batch_;  // combiner-lock-protected scratch
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> combined_ops_{0};
 };
 
 }  // namespace medley::core

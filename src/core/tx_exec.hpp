@@ -323,25 +323,17 @@ struct TxResult<void> {
   explicit operator bool() const { return committed(); }
 };
 
-/// One-shot future for a submitted transaction (TxExecutor::submit and the
-/// stores' async_put/async_del). Deliberately lighter than std::future: no
-/// shared state allocation beyond the one std::function, no
-/// condition_variable — progress is made by the CALLER's thread driving
-/// `step_` (poll on ready(), drive-to-completion on get()), which is the
-/// right shape for combiner-backed completion where waiting threads help
-/// rather than sleep.
+/// One-shot future for a staged store mutation (what net::StoreAdapter
+/// returns for a wire PUT/DEL). Deliberately lighter than std::future: no
+/// shared state beyond the one std::function, no condition_variable —
+/// progress is made by the CALLER's thread driving `step_` (poll on
+/// ready(), drive-to-completion on get()), which is the right shape for
+/// lazy completion where the resolving thread does the work rather than
+/// sleep.
 ///
 /// Single-consumer: poll and resolve from the thread that will consume the
-/// value. get() must be called OUTSIDE any open transaction (resolving may
-/// run or help run a transaction; nesting would corrupt the ambient one —
-/// the store's future steps throw std::logic_error on that misuse).
-/// A future abandoned without get() releases its resources on destruction:
-/// the step's owned state is dropped, and an issuer that holds external
-/// resources (a combiner publication slot) attaches an on_abandon hook
-/// that reclaims them — so dropping an unresolved future (e.g. during
-/// exception unwinding between submit and harvest) does not leak capacity.
-/// The hook runs on the destroying thread and may execute the pending
-/// work; see the issuing API for its caveats.
+/// value. A future dropped unresolved simply releases its step's state;
+/// see the issuing API for what that means for the staged work.
 template <typename T>
 class TxFuture {
  public:
@@ -350,56 +342,8 @@ class TxFuture {
   /// `step(self, block)`: advance the computation; with block=true, do not
   /// return until resolved. Returns true once `self` holds a value or an
   /// error. The step must fill value_/err_ via set_value/set_error.
-  /// `on_abandon`, when given, runs if the future is destroyed (or
-  /// move-assigned over) before it resolved — the issuer's chance to
-  /// reclaim resources the step would have consumed. Exceptions out of it
-  /// are swallowed (it runs on destruction paths).
-  explicit TxFuture(std::function<bool(TxFuture&, bool)> step,
-                    std::function<void()> on_abandon = nullptr)
-      : step_(std::move(step)), on_abandon_(std::move(on_abandon)) {}
-
-  ~TxFuture() { abandon(); }
-
-  TxFuture(TxFuture&& o) noexcept
-      : step_(std::move(o.step_)), on_abandon_(std::move(o.on_abandon_)),
-        value_(std::move(o.value_)), err_(std::move(o.err_)),
-        done_(o.done_) {
-    // A moved-from std::function is only "valid but unspecified": clear
-    // explicitly so the source can never re-run the abandon hook.
-    o.step_ = nullptr;
-    o.on_abandon_ = nullptr;
-  }
-  TxFuture& operator=(TxFuture&& o) noexcept {
-    if (this != &o) {
-      abandon();
-      step_ = std::move(o.step_);
-      on_abandon_ = std::move(o.on_abandon_);
-      value_ = std::move(o.value_);
-      err_ = std::move(o.err_);
-      done_ = o.done_;
-      o.step_ = nullptr;
-      o.on_abandon_ = nullptr;
-    }
-    return *this;
-  }
-  TxFuture(const TxFuture&) = delete;
-  TxFuture& operator=(const TxFuture&) = delete;
-
-  /// An already-resolved future (the eager-fallback path of async stores).
-  static TxFuture ready(T value) {
-    TxFuture f;
-    f.done_ = true;
-    f.value_.emplace(std::move(value));
-    return f;
-  }
-  static TxFuture error(std::exception_ptr err) {
-    TxFuture f;
-    f.done_ = true;
-    f.err_ = std::move(err);
-    return f;
-  }
-
-  bool valid() const { return done_ || static_cast<bool>(step_); }
+  explicit TxFuture(std::function<bool(TxFuture&, bool)> step)
+      : step_(std::move(step)) {}
 
   /// Non-blocking: advance if possible, report whether get() would return
   /// without waiting.
@@ -408,16 +352,15 @@ class TxFuture {
     return done_;
   }
 
-  /// Drive to completion (possibly executing or helping execute the
-  /// transaction on this thread), then return the value or rethrow the
-  /// transaction's error. Consumes the future.
+  /// Drive to completion (possibly executing the transaction on this
+  /// thread), then return the value or rethrow the transaction's error.
+  /// Consumes the future.
   T get() {
     while (!done_) {
       if (!step_) throw std::logic_error("TxFuture::get on empty future");
       done_ = step_(*this, /*block=*/true);
     }
     step_ = nullptr;
-    on_abandon_ = nullptr;
     if (err_) std::rethrow_exception(err_);
     return std::move(*value_);
   }
@@ -427,21 +370,7 @@ class TxFuture {
   void set_error(std::exception_ptr e) { err_ = std::move(e); }
 
  private:
-  /// Run the issuer's cleanup hook iff the future never resolved (a
-  /// resolved step already consumed its resources). Destruction-path
-  /// code: never throws.
-  void abandon() noexcept {
-    if (!done_ && on_abandon_) {
-      try {
-        on_abandon_();
-      } catch (...) {
-      }
-    }
-    on_abandon_ = nullptr;
-  }
-
   std::function<bool(TxFuture&, bool)> step_;
-  std::function<void()> on_abandon_;
   std::optional<T> value_;
   std::exception_ptr err_;
   bool done_ = false;
@@ -575,30 +504,6 @@ class TxExecutor {
     if constexpr (!std::is_void_v<R>) res.value = std::move(full.value);
     note_resolved(sampled, t0, res.stats);
     return res;
-  }
-
-  /// Submit `body` for execution, returning a future for its TxResult so
-  /// the caller can pipeline. On a bare executor the future is LAZY: the
-  /// transaction runs on the first ready()/get() call, on the resolving
-  /// thread (there is no combiner here to run it concurrently — the stores'
-  /// async_put/async_del layer this same future over their FlatCombiner,
-  /// where a submitted op genuinely progresses while the caller works).
-  /// The executor and `mgr` must outlive the future; resolve it outside
-  /// any open transaction.
-  template <typename F>
-  auto submit(core::TxManager& mgr, F body)
-      -> TxFuture<TxResult<std::decay_t<std::invoke_result_t<F&>>>> {
-    using R = std::decay_t<std::invoke_result_t<F&>>;
-    using Fut = TxFuture<TxResult<R>>;
-    return Fut([this, &mgr, body = std::move(body)](Fut& self,
-                                                    bool) mutable {
-      try {
-        self.set_value(this->execute(mgr, body));
-      } catch (...) {
-        self.set_error(std::current_exception());
-      }
-      return true;
-    });
   }
 
  private:

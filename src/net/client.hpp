@@ -2,10 +2,10 @@
 // Blocking client for the Medley wire protocol (protocol.hpp): one
 // connection, synchronous per-op calls, and a pipelined send_batch that
 // writes a whole batch of requests in one syscall and then collects the
-// responses in order — the client-side half of the server's wave ->
-// combiner pipeline (a batch of B mutations arrives at the server as one
-// readable wave, is published into B combiner slots, and commits as one
-// transaction; bench/bench_net_ycsb.cpp measures exactly this against
+// responses in order — the client-side half of the server's wave path (a
+// batch of B mutations arrives at the server as one readable wave and
+// commits with one apply_batch, one transaction per 64 ops;
+// bench/bench_net_ycsb.cpp measures exactly this against
 // one-request-per-round-trip).
 //
 // Not thread-safe: one Client per thread (the protocol interleaves
@@ -148,7 +148,7 @@ class Client {
   /// Encode every request, send them with ONE writev, then read the
   /// responses (in request order — the server guarantees it). This is
   /// what makes the server see a multi-request wave: B pipelined
-  /// mutations become one combiner batch instead of B transactions.
+  /// mutations commit with one apply_batch instead of B transactions.
   /// MULTI_PUT requests in a batch are not supported here (their pair
   /// payload lives out-of-band); use multi_put().
   std::vector<Response> send_batch(const std::vector<Request>& reqs) {

@@ -319,7 +319,7 @@ inline Status parse_request(const FrameView& f, Request& rq) {
 // ---- responses -----------------------------------------------------------
 
 /// The STATS verb's fixed counter block — enough for a load driver or an
-/// operator probe to see commits, contention, and combining effectiveness
+/// operator probe to see commits, contention, and group-commit batching
 /// without parsing the full METRICS exposition.
 struct StatsBlob {
   std::uint64_t commits = 0;
@@ -328,9 +328,8 @@ struct StatsBlob {
   std::uint64_t feed_depth = 0;
   std::uint64_t combined_batches = 0;
   std::uint64_t combined_ops = 0;
-  std::uint64_t combiner_slots_leaked = 0;
 };
-inline constexpr std::size_t kStatsBlobWire = 7 * 8;
+inline constexpr std::size_t kStatsBlobWire = 6 * 8;
 
 /// One parsed response, decoded by the client. `val` is engaged for OK
 /// GET/PUT/DEL/RMW_ADD bodies that carry a value (PUT/DEL: the previous
@@ -410,7 +409,6 @@ inline void encode_stats(std::vector<std::uint8_t>& out, std::uint32_t id,
   put_u64(out, s.feed_depth);
   put_u64(out, s.combined_batches);
   put_u64(out, s.combined_ops);
-  put_u64(out, s.combiner_slots_leaked);
   detail::end_response(out, at);
 }
 
@@ -470,7 +468,6 @@ inline bool parse_response(const FrameView& f, Response& r) {
       r.stats.feed_depth = get_u64(body + 24);
       r.stats.combined_batches = get_u64(body + 32);
       r.stats.combined_ops = get_u64(body + 40);
-      r.stats.combiner_slots_leaked = get_u64(body + 48);
       return true;
     case Verb::kMetrics:
       r.text.assign(reinterpret_cast<const char*>(body), blen);

@@ -1,5 +1,5 @@
 // Epoll worker implementation of net::Server — see server.hpp for the
-// wave -> combiner design and the ordering/shutdown contracts, and
+// wave -> apply_batch design and the ordering/shutdown contracts, and
 // ARCHITECTURE.md L10 for the request walkthrough.
 
 #include "net/server.hpp"
@@ -70,9 +70,9 @@ std::uint16_t bound_port_of(int fd) {
 
 }  // namespace
 
-/// One request whose mutation is in flight in the combiner: the future to
-/// harvest and the header bytes its response must echo. Kept in request
-/// order; harvested in that order, so responses are too.
+/// One request whose mutation is staged in the worker's open run: the
+/// future to harvest and the header bytes its response must echo. Kept in
+/// request order; harvested in that order, so responses are too.
 struct PendingOp {
   Verb verb;
   std::uint32_t id;
@@ -86,7 +86,7 @@ struct Conn {
   FrameBuffer in;
   std::vector<std::uint8_t> out;  // encoded responses, flushed per wave
   std::size_t out_off = 0;        // already written to the socket
-  std::vector<PendingOp> pending; // unharvested async mutations (this wave)
+  std::vector<PendingOp> pending; // unharvested staged mutations (this wave)
   bool want_write = false;        // EPOLLOUT armed (kernel buffer full)
   bool close_after_flush = false; // protocol violation: answer, then close
 };
@@ -245,10 +245,10 @@ void Server::worker_main(Worker& w) {
     }
   };
 
-  /// Harvest every unharvested async mutation of the wave, in request
-  /// order, encoding each response as its transaction resolves. The
-  /// first get() typically becomes the combiner and commits the whole
-  /// wave as one batch; the rest consume their already-done slots.
+  /// Harvest every staged mutation of the wave, in request order,
+  /// encoding each response as its transaction resolves. The first get()
+  /// commits the whole run with one apply_batch; the rest read their
+  /// already-committed results.
   auto harvest = [&](Conn& c) {
     for (PendingOp& p : c.pending) {
       try {
@@ -265,9 +265,9 @@ void Server::worker_main(Worker& w) {
     c.pending.clear();
   };
 
-  /// Execute one parsed request. PUT/DEL publish into the combiner and
-  /// return immediately (response deferred to harvest); every other verb
-  /// is an ordering barrier: harvest first, then execute synchronously.
+  /// Execute one parsed request. PUT/DEL are staged and return
+  /// immediately (response deferred to harvest); every other verb is an
+  /// ordering barrier: harvest first, then execute synchronously.
   auto dispatch = [&](Conn& c, const Request& rq) {
     note_req(rq.verb);
     switch (rq.verb) {
@@ -443,10 +443,10 @@ void Server::worker_main(Worker& w) {
   }
   // Graceful drain: the loop only exits BETWEEN waves, so there are no
   // unharvested futures and no open transactions on this thread — every
-  // in-flight combiner batch this worker fed has committed and its acks
-  // are encoded. Flush what the kernel will take, then close. Bytes the
-  // peer never receives were never acked as committed-and-read; bytes it
-  // does receive are commit-proofs (harvest preceded encode).
+  // run this worker staged has committed and its acks are encoded. Flush
+  // what the kernel will take, then close. Bytes the peer never receives
+  // were never acked as committed-and-read; bytes it does receive are
+  // commit-proofs (harvest preceded encode).
   for (auto& [fd, c] : w.conns) {
     flush_out(*c);
     ::close(fd);

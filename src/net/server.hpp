@@ -1,38 +1,39 @@
 #pragma once
 // Epoll serving front-end: the network layer that feeds whole waves of
-// requests into the store's flat-combining submit pipeline (ROADMAP
-// "network front-end over the batching substrate"; ARCHITECTURE.md L10).
+// requests into the store as group commits (ARCHITECTURE.md L10).
 //
 // Design in one paragraph: N worker threads, each with its own
 // SO_REUSEPORT listening socket and its own epoll instance (acceptor-less
 // — the kernel load-balances accepts), own the connections they accept.
 // When a socket turns readable the worker drains it to EAGAIN and decodes
 // EVERY complete frame buffered — that run of frames is a *wave*. PUT/DEL
-// requests in the wave are issued through the store's async_put/async_del,
-// which publish into the combiner's slots without waiting; when the wave
-// (or an ordering barrier within it — see below) ends, the worker harvests
-// the futures in request order. The first get() takes the combiner lock
-// and drains every published slot as ONE transaction — one descriptor,
-// one commit CAS for the whole wave — which is the end-to-end version of
-// what PR 8's group commit proved in-process: the per-transaction protocol
-// cost Ravi's inherent-cost argument says we cannot avoid is paid once per
-// WAVE, not once per request. Responses are encoded into one contiguous
-// per-connection buffer and flushed with a single writev per wave.
+// requests in the wave are staged through async_put/async_del, which only
+// append the mutation to the worker's open run and return a lazy future;
+// when the wave (or an ordering barrier within it — see below) ends, the
+// worker harvests the futures in request order. The first get() applies
+// the whole run with ONE apply_batch — one transaction, one commit CAS
+// per run of up to 64 mutations — so the per-transaction protocol cost
+// Ravi's inherent-cost argument says we cannot avoid is paid once per
+// run, not once per request. The wave has exactly one producer, so no
+// publication list or lock is needed to form the batch. Responses are
+// encoded into one contiguous per-connection buffer and flushed with a
+// single writev per wave.
 //
 // Ordering within a pipelined connection: responses are written in request
 // order, and the wire observes program order — a read (GET/RANGE/SCAN),
 // an RMW, a MULTI_PUT, or an admin verb acts as a barrier that harvests
-// every async mutation issued earlier in the wave before it executes, so
-// a client that pipelines PUT(k) then GET(k) always reads its write.
+// every mutation staged earlier in the wave before it executes, so a
+// client that pipelines PUT(k) then GET(k) always reads its write.
 //
 // THE INVARIANT this layer adds (ARCHITECTURE.md): the wire never opens an
 // ambient transaction. A worker thread is never inside an open transaction
 // when it touches the store — every request maps to exactly one top-level
-// store call (async mutations resolve via TxFuture::get, outside any tx),
-// so the combiner routing, the read-only snapshot path, and flat-nesting
-// semantics all behave exactly as the in-process API documents them, and
-// graceful shutdown can always drain: a worker that stops between waves
-// holds no transaction and no unharvested future.
+// store call or one slot of an apply_batch run (staged mutations resolve
+// via TxFuture::get, outside any tx), so group commit, the read-only
+// snapshot path, and flat-nesting semantics all behave exactly as the
+// in-process API documents them, and graceful shutdown can always drain:
+// a worker that stops between waves holds no transaction and no
+// unharvested future.
 //
 // Acks are commit-proofs: a response is encoded only after its
 // transaction's future resolved (TxFuture::get returns post-commit), so
@@ -66,9 +67,10 @@ class StoreApi {
   using Async = TxFuture<std::optional<Val>>;
 
   virtual std::optional<Val> get(Key k) = 0;
-  /// Publish-now/harvest-later mutations (the wave pipeline). With
-  /// combining off these come back already resolved — the server code
-  /// path is identical either way.
+  /// Stage-now/harvest-later mutations (the wave pipeline): the returned
+  /// future is lazy, and resolving it commits the mutation together with
+  /// the others the calling thread staged since (StoreAdapter's runs).
+  /// Resolve on the staging thread, in staging order.
   virtual Async async_put(Key k, Val v) = 0;
   virtual Async async_del(Key k) = 0;
   virtual Val rmw_add(Key k, Val delta) = 0;
@@ -82,15 +84,20 @@ class StoreApi {
 };
 
 /// StoreApi over any of the concrete stores. The store must outlive the
-/// adapter; the adapter must outlive the server.
+/// adapter; the adapter must outlive the server and every future it
+/// returned.
 template <typename Store>
 class StoreAdapter final : public StoreApi {
  public:
   explicit StoreAdapter(Store* s) : s_(s) {}
 
   std::optional<Val> get(Key k) override { return s_->get(k); }
-  Async async_put(Key k, Val v) override { return s_->async_put(k, v); }
-  Async async_del(Key k) override { return s_->async_del(k); }
+  Async async_put(Key k, Val v) override {
+    return stage(Mutation{Mutation::kPut, k, v});
+  }
+  Async async_del(Key k) override {
+    return stage(Mutation{Mutation::kDel, k});
+  }
   Val rmw_add(Key k, Val delta) override {
     auto res = s_->read_modify_write(k, [delta](const std::optional<Val>& c) {
       return std::optional<Val>(c.value_or(0) + delta);
@@ -115,12 +122,65 @@ class StoreAdapter final : public StoreApi {
     b.feed_depth = s_->feed_depth();
     b.combined_batches = s_->combined_batches();
     b.combined_ops = s_->combined_ops();
-    b.combiner_slots_leaked = s_->combiner_slots_leaked();
     return b;
   }
   std::string metrics_text() override { return s_->dump_metrics(); }
 
  private:
+  using Mutation = typename Store::Mutation;
+  using Op = typename Store::Op;
+
+  /// A run: the PUT/DELs one thread staged on this adapter since its last
+  /// run was applied. The first of its futures to resolve applies the
+  /// whole run with one apply_batch; every future then reads its own op.
+  /// Only the futures own a run, so a run whose futures were all dropped
+  /// unresolved is discarded, never applied.
+  struct Run {
+    StoreAdapter* owner;
+    std::vector<Op> ops;
+    bool applied = false;
+  };
+
+  Async stage(Mutation m) {
+    std::shared_ptr<Run> run = open_run();
+    const std::size_t i = run->ops.size();
+    run->ops.push_back(Op{std::move(m), std::nullopt, nullptr});
+    return Async([run = std::move(run), i](Async& self, bool) {
+      if (!run->applied) {
+        run->owner->s_->apply_batch(run->ops);
+        run->applied = true;
+      }
+      Op& op = run->ops[i];
+      if (op.err) {
+        self.set_error(op.err);
+      } else {
+        self.set_value(std::move(op.res));
+      }
+      return true;
+    });
+  }
+
+  /// The calling thread's open (unapplied, still referenced) run on THIS
+  /// adapter, or a new one. Each thread keeps weak handles to its open
+  /// runs, one per adapter, so two adapters' runs never mix; handles of
+  /// applied or discarded runs are pruned on the way.
+  std::shared_ptr<Run> open_run() {
+    thread_local std::vector<std::weak_ptr<Run>> open;
+    for (auto it = open.begin(); it != open.end();) {
+      std::shared_ptr<Run> run = it->lock();
+      if (!run || run->applied) {
+        it = open.erase(it);
+      } else if (run->owner == this) {
+        return run;
+      } else {
+        ++it;
+      }
+    }
+    auto run = std::make_shared<Run>(Run{this, {}, false});
+    open.push_back(run);
+    return run;
+  }
+
   Store* s_;
 };
 
@@ -147,8 +207,8 @@ struct NetConfig {
 
 /// The epoll server. start() binds and spawns the workers; stop() (or the
 /// destructor) shuts down gracefully: workers finish the wave they are
-/// processing — harvesting every outstanding future, which drains the
-/// in-flight combiner batch — flush pending responses, close their
+/// processing — harvesting every outstanding future, which commits the
+/// staged run — flush pending responses, close their
 /// connections, and join. Only after stop() returns may the store be torn
 /// down. A worker never holds an open transaction or an unharvested
 /// future between waves, so the drain needs no handshake with the store.

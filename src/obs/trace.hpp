@@ -42,8 +42,8 @@ enum class TraceEvent : std::uint8_t {
   kROFallbackValidation,  // RO validation failed; falling back to full tx
   kArbitrationYield,  // CASObj met a higher-priority descriptor and yielded
   kLockContended,     // boostLock poll failed; arg = 1 on tx path, aux = spin
-  kCombineBatch,      // combiner executed a batch; aux = ops in the batch
-  kCombinerHandoff,   // waiter's op completed by another thread's batch;
+  kCombineBatch,      // a group commit committed; aux = ops it carried
+  kCombineHandoff,    // waiter's op completed by another thread's batch;
                       // aux = pacing rounds the waiter spent
 };
 
@@ -63,7 +63,7 @@ inline const char* to_string(TraceEvent e) {
     case TraceEvent::kArbitrationYield: return "arbitration_yield";
     case TraceEvent::kLockContended: return "lock_contended";
     case TraceEvent::kCombineBatch: return "combine_batch";
-    case TraceEvent::kCombinerHandoff: return "combiner_handoff";
+    case TraceEvent::kCombineHandoff: return "combiner_handoff";
   }
   return "?";
 }

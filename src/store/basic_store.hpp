@@ -37,8 +37,10 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -111,17 +113,16 @@ struct StoreConfig {
   /// read_modify_write publish into per-store publication slots and a
   /// lock-holding combiner executes batches of up to combining.max_batch
   /// ops as ONE transaction — one descriptor, one commit CAS — so commit
-  /// traffic amortizes under a contended key head, and async_put/async_del
-  /// become available for submit-side pipelining. Default OFF: on an
+  /// traffic amortizes under a contended key head. Default OFF: on an
   /// uncontended store the publication handshake is pure overhead (the
   /// honest-cost row in BENCH_ycsb_combining.json); turn it on for
   /// write-contended workloads (YCSB-A-like) or hot shards. Validated at
   /// construction: 0 slots / 0 max_batch throw; slots above
   /// core::kMaxCombinerSlots and max_batch above min(slots,
   /// core::kMaxCombinedBatch) clamp — config() reports effective values.
-  /// Reads and ambient (flat-nested) operations never route through the
-  /// combiner; cross-shard transactions of the sharded stores bypass it
-  /// the same way.
+  /// Reads, ambient (flat-nested) operations and apply_batch never route
+  /// through the combiner; cross-shard transactions of the sharded stores
+  /// bypass it the same way.
   core::CombinerConfig combining;
 
   // ---- Observability (src/obs) -----------------------------------------
@@ -223,8 +224,7 @@ class BasicMedleyStore : public core::Composable {
     init_observability();
     if (cfg_.combining.enabled) {
       combiner_ = std::make_unique<Combiner>(
-          cfg_.combining.slots, cfg_.combining.max_batch,
-          cfg_.combining.handoff, trace_ring_.get());
+          cfg_.combining.slots, cfg_.combining.max_batch, trace_ring_.get());
     }
   }
 
@@ -270,27 +270,34 @@ class BasicMedleyStore : public core::Composable {
     return res;
   }
 
+  /// One mutation as the combiner, apply_batch and the wire adapter carry
+  /// it. rmw travels type-erased: `fn(ctx, current)` computes the desired
+  /// value; ctx points at the caller's callable, which must outlive the
+  /// call that applies it (read_modify_write's own frame does).
+  struct Mutation {
+    enum Kind : std::uint8_t { kPut, kDel, kRmw };
+    Kind kind = kPut;
+    K key{};
+    V val{};
+    const void* ctx = nullptr;
+    std::optional<V> (*fn)(const void*, const std::optional<V>&) = nullptr;
+  };
+
+  /// A mutation with its result cell and per-op error — the combiner's
+  /// record, and apply_batch's unit.
+  using Op = typename core::FlatCombiner<Mutation, std::optional<V>>::Op;
+
   /// Insert-or-replace; returns the previous value if any. With combining
   /// enabled, a top-level call publishes into the combiner and the batch
   /// transaction commits it (same return value, same linearization
   /// guarantees — the batch IS one transaction).
   std::optional<V> put(const K& k, const V& v) {
-    if (combiner_ && !mgr->in_tx()) {
-      return combined_mutate(kOpPut, CombReq{CombReq::kPut, k, v});
-    }
-    std::optional<V> old;
-    exec(kOpPut, [&] { old = put_in_tx(k, v); });
-    return old;
+    return mutate(Mutation{Mutation::kPut, k, v});
   }
 
   /// Remove; returns the removed value if the key was present.
   std::optional<V> del(const K& k) {
-    if (combiner_ && !mgr->in_tx()) {
-      return combined_mutate(kOpDel, CombReq{CombReq::kDel, k});
-    }
-    std::optional<V> old;
-    exec(kOpDel, [&] { old = del_in_tx(k); });
-    return old;
+    return mutate(Mutation{Mutation::kDel, k});
   }
 
   /// Atomic read-modify-write: `f(current) -> desired` where nullopt on
@@ -302,61 +309,39 @@ class BasicMedleyStore : public core::Composable {
   /// the rest of the batch still commits — and is rethrown here.
   template <typename F>
   std::optional<V> read_modify_write(const K& k, F&& f) {
-    if (combiner_ && !mgr->in_tx()) {
-      CombReq req{CombReq::kRmw, k, V{}};
-      req.ctx = &f;
-      req.fn = [](const void* ctx, const std::optional<V>& cur) {
-        auto* fp = static_cast<std::remove_reference_t<F>*>(
-            const_cast<void*>(ctx));
-        return std::optional<V>((*fp)(cur));
-      };
-      return combined_mutate(kOpRmw, std::move(req));
+    Mutation m{Mutation::kRmw, k};
+    m.ctx = &f;
+    m.fn = [](const void* ctx, const std::optional<V>& cur) {
+      auto* fp =
+          static_cast<std::remove_reference_t<F>*>(const_cast<void*>(ctx));
+      return std::optional<V>((*fp)(cur));
+    };
+    return mutate(m);
+  }
+
+  /// Apply a run of mutations in order, each chunk of at most
+  /// core::kMaxCombinedBatch ops as ONE transaction — the group commit of
+  /// a producer that already holds its batch (the network server's wave),
+  /// with no publication handshake. Every op gets its result in op.res,
+  /// or in op.err the exception its rmw callback threw (that op is
+  /// skipped; the rest of its chunk commits). If a chunk cannot commit (a
+  /// bounded policy gave up), every op of that chunk gets the chunk's
+  /// shared error and none of its effects are visible — later chunks
+  /// still run. Billed like a combiner batch: one logical commit per op,
+  /// one combined batch per chunk. Inside an ambient transaction the ops
+  /// flat-nest into it instead, like every store operation.
+  void apply_batch(std::span<Op> ops) {
+    if (mgr->in_tx()) {
+      for (Op& op : ops) op.res = apply(op.req, &op.err);
+      return;
     }
-    std::optional<V> desired;
-    exec(kOpRmw, [&] {
-      std::optional<V> cur = primary_->get(k);
-      desired = f(static_cast<const std::optional<V>&>(cur));
-      if (desired) {
-        put_in_tx(k, *desired);
-      } else if (cur) {
-        del_in_tx(k);
-      }
-    });
-    return desired;
-  }
-
-  // ---- async submission (pipelining) -------------------------------------
-  // Publish a mutation now, harvest its result later: the returned future
-  // completes when some combiner's batch commits the op, so a caller can
-  // keep submitting (or doing unrelated work) instead of blocking per op.
-  // Discipline: resolve futures on the submitting thread, OUTSIDE any open
-  // transaction (the future helps execute batches; ready()/get() throw
-  // std::logic_error inside one). Harvest every future you submit — a
-  // harvested result is the only way to SEE the op's outcome. A future
-  // dropped without get() still cleans up after itself: its destructor
-  // drives the published op to completion (helping combine if needed),
-  // bills it, and discards the result, returning the publication slot to
-  // the pool — so exception unwinding between submit and harvest does not
-  // degrade capacity. One caveat: a future destroyed INSIDE an open
-  // transaction cannot help combine (the batch would nest), so it only
-  // reclaims its slot if the op already executed; a still-pending op's
-  // slot stays parked — don't carry unharvested futures into a
-  // transaction. Lifetime: the future borrows this
-  // store and its TxManager — resolve or drop every future before either
-  // is destroyed (nothing enforces this; a future that outlives its store
-  // dangles). Without combining (or when no slot is free, or under an
-  // ambient transaction where batching would break flat-nesting) the op
-  // executes eagerly and the future comes back already resolved, so the
-  // API is always safe to call.
-
-  using AsyncResult = TxFuture<std::optional<V>>;
-
-  AsyncResult async_put(const K& k, const V& v) {
-    return async_mutate(kOpPut, CombReq{CombReq::kPut, k, v});
-  }
-
-  AsyncResult async_del(const K& k) {
-    return async_mutate(kOpDel, CombReq{CombReq::kDel, k});
+    for (std::size_t i = 0; i < ops.size(); i += core::kMaxCombinedBatch) {
+      const std::span<Op> chunk =
+          ops.subspan(i, std::min(core::kMaxCombinedBatch, ops.size() - i));
+      commit_group(chunk.size(), [&](std::size_t j) -> Op& {
+        return chunk[j];
+      });
+    }
   }
 
   /// All-or-nothing batch upsert (one transaction, one feed entry per
@@ -425,31 +410,15 @@ class BasicMedleyStore : public core::Composable {
   StoreStats::Snapshot stats() const { return stats_.aggregate(); }
   StoreStats::Snapshot stats_mine() const { return stats_.mine(); }
 
-  /// Group-commit batches executed / ops they carried (0 with combining
-  /// off). combined_ops() / combined_batches() is the achieved
-  /// amortization factor; the full distribution is the
+  /// Committed group commits — combiner batches and apply_batch chunks —
+  /// and the logical ops they carried. combined_ops() / combined_batches()
+  /// is the achieved amortization factor; the full distribution is the
   /// medley_store_combined_batch histogram in dump_metrics().
   std::uint64_t combined_batches() const {
-    return combiner_ ? combiner_->batches() : 0;
+    return stats_.aggregate().combined_batches;
   }
   std::uint64_t combined_ops() const {
-    return combiner_ ? combiner_->combined_ops() : 0;
-  }
-
-  /// Publication slots permanently parked by a TxFuture destroyed INSIDE
-  /// an open transaction while its op was still pending (the async-API
-  /// caveat documented above async_put). Each leak costs one slot of
-  /// combiner capacity for the store's lifetime, and its op — which any
-  /// later combiner drain will still execute and commit — is never billed
-  /// by a submitter, so commits may undercount feed entries by the leaked
-  /// amount. There is no online recovery (nothing can safely free a slot
-  /// that a batch may be executing); the counter (+ debug-build assert at
-  /// the leak site, + the medley_store_combiner_slots_leaked_total metric)
-  /// exists so harvest loops like the network server's can prove they
-  /// never do this, and so an operator seeing nonzero knows to fix the
-  /// caller and recycle the store.
-  std::uint64_t combiner_slots_leaked() const {
-    return slots_leaked_.load(std::memory_order_relaxed);
+    return stats_.aggregate().combined_ops;
   }
   std::uint64_t feed_depth() const { return stats_.feed_depth(); }
   const StoreConfig& config() const { return cfg_; }
@@ -484,26 +453,45 @@ class BasicMedleyStore : public core::Composable {
   }
 
  protected:
+  using Combiner = core::FlatCombiner<Mutation, std::optional<V>>;
+  using CombSlot = typename Combiner::Slot;
+
+  static OpType op_type(const Mutation& m) {
+    switch (m.kind) {
+      case Mutation::kPut:
+        return kOpPut;
+      case Mutation::kDel:
+        return kOpDel;
+      case Mutation::kRmw:
+        break;
+    }
+    return kOpRmw;
+  }
+
+  /// The executor a top-level op of type `op` runs under: its per-op
+  /// instrumented one when metrics or tracing are on, else the plain one.
+  TxExecutor& executor(OpType op) {
+    return instrumented_ ? op_exec_[op] : exec_;
+  }
+
   /// Run `body` as this store's transaction: flat-nested into an ambient
   /// transaction, else executed by the store's TxExecutor under the
-  /// configured TxPolicy, with the TxStats recorded. (Feed counters are
-  /// NOT handled here — they ride the cleanup list so they fire exactly
-  /// once, at whichever transaction actually commits the effects.) If a
-  /// bounded policy exhausts its budget on a transient reason, the
-  /// terminal abort is rethrown so callers never mistake a non-committed
-  /// operation for a committed one; a user abort stays silent (the
-  /// historical contract — store bodies only user-abort on behalf of the
-  /// caller's own business rule).
+  /// configured TxPolicy and billed. (Feed counters are NOT handled here —
+  /// they ride the cleanup list so they fire exactly once, at whichever
+  /// transaction actually commits the effects.) If a bounded policy
+  /// exhausts its budget on a transient reason, the terminal abort is
+  /// rethrown so callers never mistake a non-committed operation for a
+  /// committed one; a user abort stays silent (the historical contract —
+  /// store bodies only user-abort on behalf of the caller's own business
+  /// rule).
   template <typename Body>
   void exec(OpType op, Body&& body) {
     if (mgr->in_tx()) {
       body();
       return;
     }
-    auto res = instrumented_ ? op_exec_[op].execute(*mgr, body)
-                             : exec_.execute(*mgr, body);
-    if (registry_) note_result(op, res);
-    stats_.record(res.stats);
+    auto res = executor(op).execute(*mgr, body);
+    bill(res.stats, res.ro_fallback, {&op, 1}, /*group=*/false);
     rethrow_failed_non_user(res);
   }
 
@@ -524,218 +512,135 @@ class BasicMedleyStore : public core::Composable {
       exec(op, std::forward<Body>(body));
       return;
     }
-    auto res = instrumented_ ? op_exec_[op].execute_ro(*mgr, body)
-                             : exec_.execute_ro(*mgr, body);
-    if (registry_) note_result(op, res);
-    stats_.record(res.stats);
+    auto res = executor(op).execute_ro(*mgr, body);
+    bill(res.stats, res.ro_fallback, {&op, 1}, /*group=*/false);
     rethrow_failed_non_user(res);
   }
 
-  // ---- flat-combining glue (core/combiner.hpp) ---------------------------
-
-  /// A published mutation. rmw travels type-erased: `fn(ctx, current)`
-  /// computes the desired value; ctx points at the caller's callable,
-  /// which stays alive for the whole blocking submit (async submission is
-  /// put/del only, whose requests are self-contained).
-  struct CombReq {
-    enum Kind : std::uint8_t { kPut, kDel, kRmw };
-    Kind kind = kPut;
-    K key{};
-    V val{};
-    const void* ctx = nullptr;
-    std::optional<V> (*fn)(const void*, const std::optional<V>&) = nullptr;
-  };
-  using Combiner = core::FlatCombiner<CombReq, std::optional<V>>;
-  using CombSlot = typename Combiner::Slot;
-
-  /// Apply one published op inside the batch transaction. A user rmw
-  /// callback that throws fails only ITS op (op.err; the mutation is
-  /// skipped, the batch commits the rest) — but a TransactionAborted out
-  /// of it is the transaction's, not the user's, and propagates so the
-  /// attempt aborts and retries as a whole.
-  void apply_comb_op(typename Combiner::Op& op) {
-    op.err = nullptr;  // re-applied fresh on every transaction attempt
-    const CombReq& rq = op.req;
-    switch (rq.kind) {
-      case CombReq::kPut:
-        op.res = put_in_tx(rq.key, rq.val);
-        break;
-      case CombReq::kDel:
-        op.res = del_in_tx(rq.key);
-        break;
-      case CombReq::kRmw: {
-        std::optional<V> cur = primary_->get(rq.key);
-        std::optional<V> desired;
-        try {
-          desired = rq.fn(rq.ctx, cur);
-        } catch (const core::TransactionAborted&) {
-          throw;
-        } catch (...) {
-          op.err = std::current_exception();
-          op.res = std::nullopt;
-          return;
-        }
-        if (desired) {
-          put_in_tx(rq.key, *desired);
-        } else if (cur) {
-          del_in_tx(rq.key);
-        }
-        op.res = desired;
-        break;
-      }
+  /// The write path of put/del/read_modify_write: published into the
+  /// combiner when it is on and no transaction is open, else one store
+  /// transaction of its own (or flat-nested into the open one).
+  std::optional<V> mutate(Mutation m) {
+    if (combiner_ && !mgr->in_tx()) {
+      return combiner_->submit(
+          std::move(m), [this](std::vector<CombSlot*>& batch) {
+            commit_group(batch.size(), [&](std::size_t i) -> Op& {
+              return batch[i]->op;
+            });
+          });
     }
-  }
-
-  /// The batch executor the combiner runs under its lock: one store
-  /// transaction applying every published op, billed so that N combined
-  /// ops read as exactly N logical ops — the batch records its abort/
-  /// retry stats here with the commit STRIPPED (op="combine" latency and
-  /// attempts histograms still see the batch), and each submitter bills
-  /// its own commit + op counter on successful completion. A batch that
-  /// cannot commit (bounded policy exhausted) throws, which the combiner
-  /// fans out to every waiter: all-or-nothing.
-  void run_batch(std::vector<CombSlot*>& batch) {
-    auto body = [&] {
-      for (CombSlot* s : batch) apply_comb_op(s->op);
-    };
-    auto res = instrumented_ ? op_exec_[kOpCombine].execute(*mgr, body)
-                             : exec_.execute(*mgr, body);
-    TxStats s = res.stats;
-    s.commits = 0;  // each waiter bills its own logical commit
-    stats_.record(s);
-    if (registry_) note_tx_stats(res.stats);
-    if (!res.committed()) {
-      throw core::TransactionAborted(
-          res.terminal.value_or(core::AbortReason::User));
-    }
-    if (combined_batch_hist_ != nullptr) {
-      combined_batch_hist_->record(batch.size());
-    }
-    if (combined_ops_counter_ != nullptr) {
-      combined_ops_counter_->inc(batch.size());
-    }
-  }
-
-  /// Submitter side of a combined synchronous mutation: publish, wait (or
-  /// combine), bill ONE logical op on success. Errors (batch abort, rmw
-  /// callback) propagate without billing a commit — matching exec()'s
-  /// contract that a non-committed op is never mistaken for a committed
-  /// one.
-  std::optional<V> combined_mutate(OpType op, CombReq req) {
-    auto fn = [this](std::vector<CombSlot*>& b) { run_batch(b); };
-    std::optional<V> out = combiner_->submit(std::move(req), fn);
-    TxStats s;
-    s.commits = 1;
-    stats_.record(s);
-    if (registry_) op_counters_[op]->inc();
+    std::optional<V> out;
+    exec(op_type(m), [&] { out = apply(m); });
     return out;
   }
 
-  /// Submitter side of async_put/async_del: publish without waiting and
-  /// return a future whose steps poll (help combining if the lock is
-  /// free) or wait, then consume + bill. Falls back to an eagerly
-  /// executed, already-resolved future when combining is off, the thread
-  /// is inside a transaction (batching would break flat-nesting), or no
-  /// publication slot is free (bounded pipeline depth, never deadlock).
-  AsyncResult async_mutate(OpType op, CombReq req) {
-    if (combiner_ && !mgr->in_tx()) {
-      // try_publish moves from req only on success: a nullptr return
-      // (slot exhaustion) leaves req intact for the eager fallback below.
-      if (CombSlot* slot = combiner_->try_publish(std::move(req))) {
-        return AsyncResult(
-            [this, op, slot](AsyncResult& self, bool block) {
-              if (mgr->in_tx()) {
-                throw std::logic_error(
-                    "resolve store TxFutures outside any open transaction "
-                    "(resolving helps execute combiner batches)");
-              }
-              auto fn = [this](std::vector<CombSlot*>& b) { run_batch(b); };
-              if (block) {
-                combiner_->wait(slot, fn);
-              } else if (!combiner_->done(slot)) {
-                combiner_->help(fn);
-                if (!combiner_->done(slot)) return false;
-              }
-              try {
-                self.set_value(combiner_->consume(slot));
-                TxStats s;
-                s.commits = 1;
-                stats_.record(s);
-                if (registry_) op_counters_[op]->inc();
-              } catch (...) {
-                self.set_error(std::current_exception());
-              }
-              return true;
-            },
-            // Abandoned without get(): drive the published op over the
-            // line, bill it (it commits whether or not anyone looks), and
-            // discard the result so the slot returns to the pool. Inside
-            // an open transaction helping would nest the batch, so only
-            // an already-executed op's slot can be reclaimed there.
-            [this, op, slot] {
-              if (mgr->in_tx()) {
-                if (!combiner_->done(slot)) {
-                  note_slot_leak();  // parked forever; see the accessor
-                  return;
-                }
-              } else if (!combiner_->done(slot)) {
-                auto fn = [this](std::vector<CombSlot*>& b) {
-                  run_batch(b);
-                };
-                combiner_->wait(slot, fn);
-              }
-              try {
-                combiner_->consume(slot);
-                TxStats s;
-                s.commits = 1;
-                stats_.record(s);
-                if (registry_) op_counters_[op]->inc();
-              } catch (...) {
-                // Batch aborted: the op never committed, nothing to bill.
-              }
-            });
-      }
+  /// The one mutation-apply function: the eager path, the combiner's
+  /// batches and apply_batch all run every put/del/rmw through it, inside
+  /// the current transaction. Returns the previous value (put/del) or the
+  /// value the rmw callback chose. With `user_err` given, an exception out
+  /// of the rmw callback fails only this op: it is stored there and
+  /// nothing of the op is written (the callback runs before any write).
+  /// Without it the exception propagates — and a TransactionAborted always
+  /// does, since it is the transaction's, not the user's.
+  std::optional<V> apply(const Mutation& m,
+                         std::exception_ptr* user_err = nullptr) {
+    if (user_err != nullptr) *user_err = nullptr;  // fresh every attempt
+    switch (m.kind) {
+      case Mutation::kPut:
+        return put_in_tx(m.key, m.val);
+      case Mutation::kDel:
+        return del_in_tx(m.key);
+      case Mutation::kRmw:
+        break;
     }
+    std::optional<V> cur = primary_->get(m.key);
+    std::optional<V> desired;
     try {
-      std::optional<V> out;
-      const OpType eager_op = op;
-      switch (req.kind) {
-        case CombReq::kPut:
-          exec(eager_op, [&] { out = put_in_tx(req.key, req.val); });
-          break;
-        case CombReq::kDel:
-          exec(eager_op, [&] { out = del_in_tx(req.key); });
-          break;
-        case CombReq::kRmw:
-          // Unreachable today (async surface is put/del); kept total so a
-          // future async_rmw cannot silently drop the op.
-          exec(eager_op, [&] {
-            std::optional<V> cur = primary_->get(req.key);
-            out = req.fn(req.ctx, cur);
-            if (out) {
-              put_in_tx(req.key, *out);
-            } else if (cur) {
-              del_in_tx(req.key);
-            }
-          });
-          break;
-      }
-      return AsyncResult::ready(std::move(out));
+      desired = m.fn(m.ctx, cur);
+    } catch (const core::TransactionAborted&) {
+      throw;
     } catch (...) {
-      return AsyncResult::error(std::current_exception());
+      if (user_err == nullptr) throw;
+      *user_err = std::current_exception();
+      return std::nullopt;
+    }
+    if (desired) {
+      put_in_tx(m.key, *desired);
+    } else if (cur) {
+      del_in_tx(m.key);
+    }
+    return desired;
+  }
+
+  /// The one group-commit path, shared by the combiner's batches and
+  /// apply_batch's chunks: apply ops [0, n) as ONE transaction — one
+  /// descriptor, one commit CAS — and bill it as a group. If the
+  /// transaction cannot commit, every op gets the shared error
+  /// (all-or-nothing). Never throws: the outcome is in the ops.
+  template <typename OpAt>
+  void commit_group(std::size_t n, OpAt&& op_at) {
+    assert(n <= core::kMaxCombinedBatch);
+    std::exception_ptr err;
+    try {
+      auto res = executor(kOpCombine).execute(*mgr, [&] {
+        for (std::size_t i = 0; i < n; i++) {
+          Op& op = op_at(i);
+          op.res = apply(op.req, &op.err);
+        }
+      });
+      // An op whose rmw callback threw wrote nothing and is not billed.
+      OpType billed[core::kMaxCombinedBatch];
+      std::size_t nbilled = 0;
+      for (std::size_t i = 0; i < n; i++) {
+        if (!op_at(i).err) billed[nbilled++] = op_type(op_at(i).req);
+      }
+      bill(res.stats, std::nullopt, {billed, nbilled}, /*group=*/true);
+      if (!res.committed()) {
+        err = std::make_exception_ptr(core::TransactionAborted(
+            res.terminal.value_or(core::AbortReason::User)));
+      }
+    } catch (...) {
+      err = std::current_exception();  // foreign: the attempt was aborted
+    }
+    if (!err) return;
+    for (std::size_t i = 0; i < n; i++) {
+      op_at(i).err = err;
+      op_at(i).res = std::nullopt;
     }
   }
 
-  /// Account one leaked publication slot (TxFuture abandoned inside an
-  /// open transaction with its op still pending). The assert makes the
-  /// misuse loud in Debug builds; Release/RelWithDebInfo deployments get
-  /// the counter + metric instead of a crash.
-  void note_slot_leak() {
-    slots_leaked_.fetch_add(1, std::memory_order_relaxed);
-    if (slots_leaked_counter_ != nullptr) slots_leaked_counter_->inc();
-    assert(!"TxFuture abandoned inside an open transaction: combiner "
-            "publication slot leaked (harvest futures before entering a "
-            "transaction)");
+  /// The one billing function, shared by the eager path, the combiner's
+  /// batches and apply_batch's chunks: fold one executed transaction into
+  /// StoreStats and the registry. The transaction's own cost — aborts by
+  /// reason, retries, RO fallback — bills once. Each logical op it carried
+  /// (`ops`) bills one ops_total under its type and, if the transaction
+  /// committed, one commit, so N ops read as N logical ops however they
+  /// were grouped. A committed group also bills one combined batch.
+  void bill(const TxStats& tx, std::optional<ROFallback> fb,
+            std::span<const OpType> ops, bool group) {
+    TxStats s = tx;
+    s.commits = tx.commits != 0 ? ops.size() : 0;
+    stats_.record(s);
+    const bool combined = group && s.commits != 0;
+    if (combined) {
+      stats_.note_group(s.commits);
+      if (trace_ring_) {
+        trace_ring_->emit(obs::TraceEvent::kCombineBatch, 0,
+                          static_cast<std::uint32_t>(s.commits));
+      }
+    }
+    if (!registry_) return;
+    for (OpType op : ops) op_counters_[op]->inc();
+    if (s.conflict_aborts) abort_counters_[0]->inc(s.conflict_aborts);
+    if (s.validation_aborts) abort_counters_[1]->inc(s.validation_aborts);
+    if (s.capacity_aborts) abort_counters_[2]->inc(s.capacity_aborts);
+    if (s.user_aborts) abort_counters_[3]->inc(s.user_aborts);
+    if (s.retries) retries_counter_->inc(s.retries);
+    if (fb) ro_fallback_counters_[*fb == ROFallback::kWrite ? 0 : 1]->inc();
+    if (combined) {
+      combined_batch_hist_->record(s.commits);
+      combined_ops_counter_->inc(s.commits);
+    }
   }
 
   std::optional<V> put_in_tx(const K& k, const V& v) {
@@ -836,20 +741,13 @@ class BasicMedleyStore : public core::Composable {
     feed_drain_hist_ = &registry_->histogram(
         "medley_store_feed_drain", "Entries drained per poll_feed call",
         cfg_.metric_labels);
-    if (cfg_.combining.enabled) {
-      combined_batch_hist_ = &registry_->histogram(
-          "medley_store_combined_batch",
-          "Ops executed per combined group-commit batch", cfg_.metric_labels);
-      combined_ops_counter_ = &registry_->counter(
-          "medley_store_combined_ops_total",
-          "Store operations committed via combined group-commit batches",
-          cfg_.metric_labels);
-      slots_leaked_counter_ = &registry_->counter(
-          "medley_store_combiner_slots_leaked_total",
-          "Combiner publication slots permanently parked by futures "
-          "abandoned inside an open transaction",
-          cfg_.metric_labels);
-    }
+    combined_batch_hist_ = &registry_->histogram(
+        "medley_store_combined_batch",
+        "Ops executed per combined group-commit batch", cfg_.metric_labels);
+    combined_ops_counter_ = &registry_->counter(
+        "medley_store_combined_ops_total",
+        "Store operations committed via combined group-commit batches",
+        cfg_.metric_labels);
     registry_->gauge_fn("medley_store_keys",
                         "Live keys (commit-exact insert minus remove)",
                         cfg_.metric_labels, [this] {
@@ -861,30 +759,6 @@ class BasicMedleyStore : public core::Composable {
                         cfg_.metric_labels, [this] {
                           return static_cast<double>(stats_.feed_depth());
                         });
-  }
-
-  /// Registry-side accounting of one resolved top-level execute: op count,
-  /// per-reason abort counts, retries, RO fallback kind. Counter bumps are
-  /// per-thread relaxed adds; the zero checks keep the common uncontended
-  /// op at a single increment.
-  template <typename R>
-  void note_result(OpType op, const TxResult<R>& res) {
-    op_counters_[op]->inc();
-    note_tx_stats(res.stats);
-    if (res.ro_fallback) {
-      ro_fallback_counters_[*res.ro_fallback == ROFallback::kWrite ? 0 : 1]
-          ->inc();
-    }
-  }
-
-  /// The abort/retry slice of note_result, shared with the combined-batch
-  /// path (which bills the op counts submitter-side instead).
-  void note_tx_stats(const TxStats& s) {
-    if (s.conflict_aborts) abort_counters_[0]->inc(s.conflict_aborts);
-    if (s.validation_aborts) abort_counters_[1]->inc(s.validation_aborts);
-    if (s.capacity_aborts) abort_counters_[2]->inc(s.capacity_aborts);
-    if (s.user_aborts) abort_counters_[3]->inc(s.user_aborts);
-    if (s.retries) retries_counter_->inc(s.retries);
   }
 
   Primary* primary_;
@@ -910,11 +784,6 @@ class BasicMedleyStore : public core::Composable {
   obs::Histogram* feed_drain_hist_ = nullptr;
   obs::Histogram* combined_batch_hist_ = nullptr;
   obs::Counter* combined_ops_counter_ = nullptr;
-  obs::Counter* slots_leaked_counter_ = nullptr;
-  /// Slots parked forever by futures abandoned inside an open transaction
-  /// (see combiner_slots_leaked()). Kept outside the registry so the leak
-  /// is countable even with metrics off.
-  std::atomic<std::uint64_t> slots_leaked_{0};
 
   /// The flat combiner (null unless cfg_.combining.enabled). Built after
   /// init_observability so it can emit into the store's trace ring.

@@ -16,6 +16,8 @@
 //                        — group by shard; single-shard batches delegate,
 //                          anything else runs as one domain transaction
 //                          flat-nesting each shard store's ops;
+//   apply_batch          — split a run of mutations by home shard; each
+//                          shard group-commits its part, in order;
 //   poll_feed            — one transaction k-way-merges the shard feeds by
 //                          the shared sequence stamp (peek every
 //                          non-exhausted head, dequeue the smallest);
@@ -47,12 +49,14 @@
 // half-visible), and the merged feed replayed over an empty map reproduces
 // the union of the shard primaries.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -68,6 +72,8 @@ class ShardedStoreBase {
  public:
   using Shard = MedleyStore<K, V>;
   using FeedItem = FeedEntry<K, V>;
+  using Mutation = typename Shard::Mutation;
+  using Op = typename Shard::Op;
 
   // ---- topology ----------------------------------------------------------
 
@@ -95,14 +101,38 @@ class ShardedStoreBase {
   // above group-commit per shard — batches never mix shards, and
   // cross-shard transactions (multi_put, transact) bypass combining
   // entirely: their inner shard ops flat-nest into the ambient domain
-  // transaction, which in_tx() detects. Async submission routes to the
-  // owning shard's combiner the same way.
+  // transaction, which in_tx() detects.
 
-  typename Shard::AsyncResult async_put(const K& k, const V& v) {
-    return home(k).async_put(k, v);
-  }
-  typename Shard::AsyncResult async_del(const K& k) {
-    return home(k).async_del(k);
+  /// BasicMedleyStore::apply_batch over the shards: the run splits by home
+  /// shard, each shard's part keeps its order and commits in chunks of at
+  /// most core::kMaxCombinedBatch ops — so atomicity is per shard, exactly
+  /// as with the per-shard combiner batches. Results land in `ops`.
+  void apply_batch(std::span<Op> ops) {
+    if (ops.empty()) return;
+    // Per-call scratch, reused across calls (like poll_feed's).
+    thread_local std::vector<std::size_t> home_of;
+    thread_local std::vector<std::vector<Op>> parts;
+    home_of.clear();
+    for (const Op& op : ops) home_of.push_back(derived().shard_of(op.req.key));
+    if (std::all_of(home_of.begin(), home_of.end(),
+                    [&](std::size_t h) { return h == home_of[0]; })) {
+      shards_[home_of[0]].store->apply_batch(ops);
+      return;
+    }
+    if (parts.size() < shards_.size()) parts.resize(shards_.size());
+    for (auto& p : parts) p.clear();  // a flat-nested abort may leave some
+    for (std::size_t i = 0; i < ops.size(); i++) {
+      parts[home_of[i]].push_back(std::move(ops[i]));
+    }
+    for (std::size_t s = 0; s < shards_.size(); s++) {
+      if (!parts[s].empty()) shards_[s].store->apply_batch(parts[s]);
+    }
+    // Scatter back: each shard's part is in run order, so walking the run
+    // backwards pops every part from its back.
+    for (std::size_t i = ops.size(); i-- > 0;) {
+      ops[i] = std::move(parts[home_of[i]].back());
+      parts[home_of[i]].pop_back();
+    }
   }
 
   // ---- cross-shard atomic operations -------------------------------------
@@ -275,25 +305,10 @@ class ShardedStoreBase {
     return shards_[i].store->stats();
   }
 
-  /// Group-commit batches / combined ops summed over every shard's
-  /// combiner (0 with combining off).
-  std::uint64_t combined_batches() const {
-    std::uint64_t n = 0;
-    for (const Slot& s : shards_) n += s.store->combined_batches();
-    return n;
-  }
-  std::uint64_t combined_ops() const {
-    std::uint64_t n = 0;
-    for (const Slot& s : shards_) n += s.store->combined_ops();
-    return n;
-  }
-  /// Combiner publication slots permanently parked by futures abandoned
-  /// inside an open transaction, summed over every shard.
-  std::uint64_t combiner_slots_leaked() const {
-    std::uint64_t n = 0;
-    for (const Slot& s : shards_) n += s.store->combiner_slots_leaked();
-    return n;
-  }
+  /// Group commits (combiner batches and apply_batch chunks) and the ops
+  /// they carried, summed over every shard.
+  std::uint64_t combined_batches() const { return stats().combined_batches; }
+  std::uint64_t combined_ops() const { return stats().combined_ops; }
   StoreStats::Snapshot stats_cross() const {
     return cross_stats_.aggregate();
   }
@@ -483,7 +498,7 @@ class ShardedStoreBase {
   }
 
   /// Registry-side accounting of one resolved cross-shard execute (the
-  /// sharded twin of BasicMedleyStore::note_result).
+  /// sharded twin of BasicMedleyStore::bill).
   template <typename R>
   void note_cross_result(const TxResult<R>& res) {
     cross_ops_->inc();

@@ -30,12 +30,14 @@ namespace medley::store {
 class StoreStats {
  public:
   /// TxStats (commits/retries/aborts-by-reason, with aborts()) plus the
-  /// store's feed and key-count counters.
+  /// store's feed, key-count and group-commit counters.
   struct Snapshot : TxStats {
     std::uint64_t feed_pushed = 0;
     std::uint64_t feed_polled = 0;
     std::uint64_t keys_inserted = 0;  // committed puts of an ABSENT key
     std::uint64_t keys_removed = 0;   // committed dels of a PRESENT key
+    std::uint64_t combined_batches = 0;  // committed group commits
+    std::uint64_t combined_ops = 0;      // logical ops they carried
 
     /// Committed live-key count (exact between quiescent points;
     /// saturating for the same mid-flight reason as feed_depth()). This
@@ -59,6 +61,8 @@ class StoreStats {
       feed_polled += o.feed_polled;
       keys_inserted += o.keys_inserted;
       keys_removed += o.keys_removed;
+      combined_batches += o.combined_batches;
+      combined_ops += o.combined_ops;
       return *this;
     }
   };
@@ -78,6 +82,13 @@ class StoreStats {
   void note_feed_poll(std::uint64_t n) { add(my_slot().feed_polled, n); }
   void note_key_insert(std::uint64_t n) { add(my_slot().keys_inserted, n); }
   void note_key_remove(std::uint64_t n) { add(my_slot().keys_removed, n); }
+  /// One committed group commit (a combiner batch or an apply_batch
+  /// chunk) that carried `n` logical ops.
+  void note_group(std::uint64_t n) {
+    Slot& s = my_slot();
+    add(s.combined_batches, 1);
+    add(s.combined_ops, n);
+  }
 
   /// Sum over all thread slots.
   Snapshot aggregate() const {
@@ -116,6 +127,8 @@ class StoreStats {
     std::atomic<std::uint64_t> feed_polled{0};
     std::atomic<std::uint64_t> keys_inserted{0};
     std::atomic<std::uint64_t> keys_removed{0};
+    std::atomic<std::uint64_t> combined_batches{0};
+    std::atomic<std::uint64_t> combined_ops{0};
   };
 
   static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) {
@@ -137,6 +150,9 @@ class StoreStats {
     out.feed_polled += s.feed_polled.load(std::memory_order_relaxed);
     out.keys_inserted += s.keys_inserted.load(std::memory_order_relaxed);
     out.keys_removed += s.keys_removed.load(std::memory_order_relaxed);
+    out.combined_batches +=
+        s.combined_batches.load(std::memory_order_relaxed);
+    out.combined_ops += s.combined_ops.load(std::memory_order_relaxed);
   }
 
   Slot& my_slot() { return slots_.mine(); }

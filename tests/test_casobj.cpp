@@ -81,26 +81,26 @@ TEST(CasObj, CounterMonotoneUnderContention) {
 }
 
 TEST(CasObj, CasRetriesThroughCounterOnlyChange) {
-  // Two threads CAS between the same two values; a failed 128-bit CAS due
-  // to a counter bump with an unchanged value must be retried internally,
-  // so the only way plain CAS returns false is a genuine value mismatch.
+  // The peer only bumps the counter (CAS(0,0) succeeds and rewrites the
+  // same value), so the value is 0 at every instant: a failed 128-bit CAS
+  // caused by a counter-only change must be retried internally, and plain
+  // CAS(0,0) may never return false. Unlike a re-check of the value after
+  // the fact, this has no race to tolerate.
+  constexpr std::uint64_t kPerThread = 200000;
   CASObj<std::uint64_t> o(0);
+  std::atomic<int> started{0};
   std::atomic<int> false_fails{0};
-  medley::test::run_threads(2, [&](int t) {
-    for (int i = 0; i < 10000; i++) {
-      if (t == 0) {
-        o.CAS(0, 1);
-        o.CAS(1, 0);
-      } else {
-        // value is always 0 or 1
-        auto v = o.load();
-        if (!o.CAS(v, v) && o.load() == v) false_fails.fetch_add(1);
-      }
+  medley::test::run_threads(2, [&](int) {
+    started.fetch_add(1);
+    while (started.load() < 2) {
+    }  // overlap the two loops, or nothing contends
+    for (std::uint64_t i = 0; i < kPerThread; i++) {
+      if (!o.CAS(0, 0)) false_fails.fetch_add(1);
     }
   });
-  // o.CAS(v,v) failing while value still v would mean a spurious failure
-  // leaked through (racy re-check, so tolerate the odd blip).
-  EXPECT_LE(false_fails.load(), 1);
+  EXPECT_EQ(false_fails.load(), 0);
+  EXPECT_EQ(o.load(), 0u);
+  EXPECT_EQ(o.raw().hi, 2 * 2 * kPerThread) << "every CAS bumped the counter";
 }
 
 TEST(CasObj, RawExposesValueCounterPair) {

@@ -1,22 +1,28 @@
-// Flat-combining group commit (core/combiner.hpp + StoreConfig::combining).
-// Contracts under test:
-//   C1  semantics: combined put/del/rmw return and apply exactly what the
-//       eager path would — a batch IS one transaction (all-or-nothing),
-//       and every publishing thread gets ITS op's result;
+// Group commit: flat combining (core/combiner.hpp + StoreConfig::combining)
+// and wave-native batch apply (BasicMedleyStore::apply_batch + the wire
+// adapter's staged runs). Contracts under test:
+//   C1  semantics: combined put/del/rmw and apply_batch runs return and
+//       apply exactly what the eager path would — a group IS one
+//       transaction (all-or-nothing), and every op gets ITS result;
 //   C2  handoff: a waiter whose op was executed by another thread's batch
-//       completes without ever taking the combiner lock, under both
-//       handoff policies and under churn;
+//       completes without ever taking the combiner lock, pinned by a
+//       schedule and under churn;
 //   C3  invariants: the store's I1-I3 (primary/secondary/feed mutual
-//       consistency) hold with combining on, including at 8 threads;
-//   C4  billing: N combined ops read as exactly N logical ops in
-//       StoreStats and the metrics registry (the batch bills its aborts,
-//       each submitter its commit), and the batch-size histogram is
-//       visible in dump_metrics();
+//       consistency) hold with combining on and apply_batch runs mixed
+//       in, including at 8 threads;
+//   C4  billing: N grouped ops read as exactly N logical ops in StoreStats
+//       and the metrics registry (the group bills its aborts once and one
+//       commit per op), plus one combined batch per group commit — per
+//       combiner batch, per apply_batch chunk per shard — and the
+//       batch-size histogram is visible in dump_metrics();
 //   C5  validation: the combining knobs obey the feed_drain_per_tx
 //       contract (zero throws, over-cap clamps, config() reports the
 //       effective values);
-//   C6  async: TxFuture pipelining — deferred resolution, slot-exhaustion
-//       fallback to eager execution, error propagation.
+//   C6  apply_batch: chunks of at most kMaxCombinedBatch ops commit as one
+//       transaction each, and a chunk that cannot commit fails alone;
+//   C7  wave staging (net::StoreAdapter): a run applies exactly once, on
+//       its first resolve, never mixes two adapters, and is discarded
+//       when all its futures were dropped unresolved.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/server.hpp"
 #include "store/range_sharded_store.hpp"
 #include "store/sharded_store.hpp"
 #include "store/store.hpp"
@@ -35,29 +42,73 @@
 #include "util/rng.hpp"
 
 using medley::TransactionAborted;
-using medley::TxExecutor;
 using medley::TxManager;
 using medley::TxPolicy;
-using medley::core::CombinerHandoff;
 using medley::store::MedleyStore;
 using medley::store::RangeShardedMedleyStore;
 using medley::store::ShardedMedleyStore;
 using medley::store::StoreConfig;
 using Store = MedleyStore<std::uint64_t, std::uint64_t>;
 using Sharded = ShardedMedleyStore<std::uint64_t, std::uint64_t>;
+using Op = Store::Op;
+using Mutation = Store::Mutation;
 
 namespace h = medley::test::harness;
 
 namespace {
 
-StoreConfig comb_cfg(std::size_t buckets = 128,
-                     CombinerHandoff handoff = CombinerHandoff::kSticky) {
+StoreConfig comb_cfg(std::size_t buckets = 128) {
   StoreConfig cfg;
   cfg.buckets = buckets;
   cfg.combining.enabled = true;
-  cfg.combining.handoff = handoff;
   return cfg;
 }
+
+Op put_op(std::uint64_t k, std::uint64_t v) {
+  return Op{Mutation{Mutation::kPut, k, v}};
+}
+Op del_op(std::uint64_t k) { return Op{Mutation{Mutation::kDel, k}}; }
+
+/// An rmw op carrying `f` type-erased, the way read_modify_write builds
+/// one; `f` must outlive the apply_batch call.
+template <typename F>
+Op rmw_op(std::uint64_t k, F& f) {
+  Op op{Mutation{Mutation::kRmw, k}};
+  op.req.ctx = &f;
+  op.req.fn = [](const void* ctx, const std::optional<std::uint64_t>& cur) {
+    return std::optional<std::uint64_t>(
+        (*static_cast<F*>(const_cast<void*>(ctx)))(cur));
+  };
+  return op;
+}
+
+/// A pinned conflict: the rmw callback parks until thread B — started by
+/// conflict() — has committed `key` = 100 through a second manager of the
+/// same domain (bypassing combiner and apply_batch), so the transaction
+/// the callback runs in must abort.
+struct PinnedConflict {
+  std::atomic<bool> in_callback{false};
+  std::atomic<bool> b_committed{false};
+
+  std::optional<std::uint64_t> operator()(
+      const std::optional<std::uint64_t>& cur) {
+    in_callback.store(true, std::memory_order_release);
+    while (!b_committed.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    return cur.value_or(0) + 1;
+  }
+
+  std::thread conflict(TxManager& mgr2, Store& s, std::uint64_t key) {
+    return std::thread([this, &mgr2, &s, key] {
+      while (!in_callback.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      medley::execute_tx(mgr2, [&] { s.put(key, 100); });
+      b_committed.store(true, std::memory_order_release);
+    });
+  }
+};
 
 /// I1 checked quiescently (the test_store helper, local to each TU).
 template <typename S>
@@ -207,55 +258,46 @@ TEST(Combining, RmwCallbackExceptionFailsOnlyItsOp) {
   TxManager mgr;
   Store s(&mgr, comb_cfg(64));
   s.put(5, 50);
+  auto boom = [](const std::optional<std::uint64_t>&)
+      -> std::optional<std::uint64_t> {
+    throw std::runtime_error("user callback");
+  };
 
-  // Pipeline a put into the same (future) batch, then throw from a sync
-  // rmw: the rmw's op fails, the batch (and the piggybacked put) commits.
-  auto fut = s.async_put(6, 60);
-  EXPECT_THROW(s.read_modify_write(
-                   5,
-                   [](const std::optional<std::uint64_t>&)
-                       -> std::optional<std::uint64_t> {
-                     throw std::runtime_error("user callback");
-                   }),
-               std::runtime_error);
-  EXPECT_FALSE(fut.get().has_value());  // 6 was absent
+  // One group commit holding a put and a throwing rmw: the rmw's op fails
+  // alone, the group (and the put in it) commits.
+  std::vector<Op> run = {put_op(6, 60), rmw_op(5, boom)};
+  s.apply_batch(run);
+  EXPECT_FALSE(run[0].err);
+  EXPECT_FALSE(run[0].res.has_value());  // 6 was absent
+  ASSERT_TRUE(run[1].err);
+  EXPECT_THROW(std::rethrow_exception(run[1].err), std::runtime_error);
   EXPECT_EQ(s.get(5), std::optional<std::uint64_t>(50)) << "failed rmw leaked";
   EXPECT_EQ(s.get(6), std::optional<std::uint64_t>(60));
+  EXPECT_EQ(s.combined_ops(), 2u) << "the put(5) batch + the put(6); the "
+                                     "failed rmw is not billed";
+
+  // The same callback through the combiner: rethrown to its caller.
+  EXPECT_THROW(s.read_modify_write(5, boom), std::runtime_error);
+  EXPECT_EQ(s.get(5), std::optional<std::uint64_t>(50));
   EXPECT_TRUE(mutually_consistent(s));
 }
 
 // ---- C1/C3: batch atomicity under a pinned conflict -----------------------
 
 TEST(Combining, ConflictMidBatchRetriesWholeBatch) {
-  // Thread A's combined rmw parks inside its user callback (handshake)
-  // while thread B commits a conflicting write through a second manager
-  // of the same domain (bypassing the combiner). A's batch transaction
-  // must abort and re-run AS A WHOLE, and the retried rmw must see B's
-  // value — the combined op linearizes after the conflicting commit.
+  // Thread A's combined rmw parks inside its user callback while thread B
+  // commits a conflicting write through a second manager of the same
+  // domain (bypassing the combiner). A's batch transaction must abort and
+  // re-run AS A WHOLE, and the retried rmw must see B's value — the
+  // combined op linearizes after the conflicting commit.
   auto domain = std::make_shared<medley::core::TxDomain>();
   TxManager mgr(domain);
   TxManager mgr2(domain);
   Store s(&mgr, comb_cfg(64));
   constexpr std::uint64_t kKey = 3;
-  std::atomic<bool> in_callback{false};
-  std::atomic<bool> b_committed{false};
-
-  std::thread b([&] {
-    while (!in_callback.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    medley::execute_tx(mgr2, [&] { s.put(kKey, 100); });
-    b_committed.store(true, std::memory_order_release);
-  });
-
-  auto got = s.read_modify_write(
-      kKey, [&](const std::optional<std::uint64_t>& cur) {
-        in_callback.store(true, std::memory_order_release);
-        while (!b_committed.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        return std::optional<std::uint64_t>(cur.value_or(0) + 1);
-      });
+  PinnedConflict pin;
+  std::thread b = pin.conflict(mgr2, s, kKey);
+  auto got = s.read_modify_write(kKey, pin);
   b.join();
 
   // First attempt read kKey as absent and lost to B; the retry read 100.
@@ -273,9 +315,9 @@ TEST(Combining, ConflictMidBatchRetriesWholeBatch) {
 }
 
 TEST(Combining, BoundedPolicyAbortsWholeBatchAllOrNothing) {
-  // Same handshake, but the store's policy grants ONE attempt: the batch
-  // — a parked rmw plus two piggybacked async puts — terminally aborts,
-  // and ALL THREE ops must fail together with nothing visible.
+  // A pinned conflict inside a one-chunk run, under a policy that grants
+  // ONE attempt: the group — a parked rmw plus two puts — terminally
+  // aborts, and ALL THREE ops must fail together with nothing visible.
   auto domain = std::make_shared<medley::core::TxDomain>();
   TxManager mgr(domain);
   TxManager mgr2(domain);
@@ -283,35 +325,16 @@ TEST(Combining, BoundedPolicyAbortsWholeBatchAllOrNothing) {
   cfg.tx_policy = TxPolicy::bounded(1);
   Store s(&mgr, cfg);
   constexpr std::uint64_t kKey = 3;
-  std::atomic<bool> in_callback{false};
-  std::atomic<bool> b_committed{false};
+  PinnedConflict pin;
+  std::thread b = pin.conflict(mgr2, s, kKey);
 
-  std::thread b([&] {
-    while (!in_callback.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    medley::execute_tx(mgr2, [&] { s.put(kKey, 100); });
-    b_committed.store(true, std::memory_order_release);
-  });
-
-  auto f1 = s.async_put(70, 7);
-  auto f2 = s.async_put(71, 7);
-  EXPECT_THROW(
-      s.read_modify_write(kKey,
-                          [&](const std::optional<std::uint64_t>& cur) {
-                            in_callback.store(true,
-                                              std::memory_order_release);
-                            while (!b_committed.load(
-                                std::memory_order_acquire)) {
-                              std::this_thread::yield();
-                            }
-                            return std::optional<std::uint64_t>(
-                                cur.value_or(0) + 1);
-                          }),
-      TransactionAborted);
+  std::vector<Op> run = {put_op(70, 7), put_op(71, 7), rmw_op(kKey, pin)};
+  s.apply_batch(run);
   b.join();
-  EXPECT_THROW(f1.get(), TransactionAborted);
-  EXPECT_THROW(f2.get(), TransactionAborted);
+  for (const Op& op : run) {
+    ASSERT_TRUE(op.err);
+    EXPECT_THROW(std::rethrow_exception(op.err), TransactionAborted);
+  }
 
   // All-or-nothing: only B's write exists.
   EXPECT_EQ(s.get(kKey), std::optional<std::uint64_t>(100));
@@ -320,100 +343,95 @@ TEST(Combining, BoundedPolicyAbortsWholeBatchAllOrNothing) {
   auto feed = s.poll_feed(16);
   ASSERT_EQ(feed.size(), 1u);
   EXPECT_EQ(feed[0].val, 100u);
+  EXPECT_EQ(s.combined_batches(), 0u) << "a failed group is no group commit";
   EXPECT_TRUE(mutually_consistent(s));
 }
 
 // ---- C2: handoff ----------------------------------------------------------
 
 TEST(Combining, SchedulePinnedHandoffDeliversResultWithoutLock) {
-  // t0 publishes asynchronously (no lock taken); t1's synchronous put
-  // becomes the combiner and drains BOTH ops as one batch; t0 then
-  // harvests a result it never computed — the handoff. Deterministic via
-  // the schedule driver (each step is self-sufficient: t1's sync put
-  // combines its own batch, so no step blocks on another thread's step).
-  TxManager mgr;
-  StoreConfig cfg = comb_cfg(64);
-  cfg.trace_capacity = 256;
-  Store s(&mgr, cfg);
-  Store::AsyncResult fut;
-  std::optional<std::uint64_t> harvested;
+  // t0 publishes without waiting (try_publish takes no lock); t1's
+  // blocking submit becomes the combiner and drains BOTH ops as one
+  // batch; t0 then waits on a slot that is already done and harvests a
+  // result it never computed — the handoff. Deterministic via the
+  // schedule driver (t1's submit combines its own batch, so no step
+  // blocks on another thread's step).
+  using Comb = medley::core::FlatCombiner<std::uint64_t, std::uint64_t>;
+  medley::obs::TraceRing ring(256);
+  Comb comb(8, 8, &ring);
+  std::vector<std::size_t> batches;
+  auto exec = [&](std::vector<Comb::Slot*>& batch) {
+    batches.push_back(batch.size());
+    for (Comb::Slot* slot : batch) slot->op.res = slot->op.req * 10;
+  };
+  Comb::Slot* slot = nullptr;
+  std::uint64_t harvested = 0;
+  std::uint64_t own = 0;
 
   h::ScheduleDriver d;
   d.add_thread({
-      [&] { fut = s.async_put(1, 10); },
-      [&] { harvested = fut.get().value_or(99); },
+      [&] { slot = comb.try_publish(1); },
+      [&] {
+        comb.wait(slot, exec);
+        harvested = comb.consume(slot);
+      },
   });
   d.add_thread({
-      [&] { s.put(2, 20); },
+      [&] { own = comb.submit(2, exec); },
   });
   d.run({0, 1, 0});
 
-  EXPECT_EQ(harvested, std::optional<std::uint64_t>(99))
-      << "async fresh insert must report no previous value";
-  EXPECT_EQ(s.get(1), std::optional<std::uint64_t>(10));
-  EXPECT_EQ(s.get(2), std::optional<std::uint64_t>(20));
-  EXPECT_EQ(s.combined_batches(), 1u) << "both ops must share one batch";
-  EXPECT_EQ(s.combined_ops(), 2u);
-
-  // Trace evidence: one combine_batch of 2, and a combiner_handoff for
-  // t0's harvested op.
-  bool saw_batch2 = false, saw_handoff = false;
-  for (const auto& e : s.trace_ring()->dump()) {
-    if (e.kind == medley::obs::TraceEvent::kCombineBatch && e.aux == 2) {
-      saw_batch2 = true;
-    }
-    if (e.kind == medley::obs::TraceEvent::kCombinerHandoff) {
+  EXPECT_EQ(harvested, 10u);
+  EXPECT_EQ(own, 20u);
+  EXPECT_EQ(batches, std::vector<std::size_t>{2})
+      << "both ops must share one batch";
+  bool saw_handoff = false;
+  for (const auto& e : ring.dump()) {
+    if (e.kind == medley::obs::TraceEvent::kCombineHandoff) {
       saw_handoff = true;
     }
   }
-  EXPECT_TRUE(saw_batch2);
   EXPECT_TRUE(saw_handoff);
 }
 
-TEST(Combining, HandoffUnderChurnBothPolicies) {
-  for (const auto handoff :
-       {CombinerHandoff::kSticky, CombinerHandoff::kRotate}) {
-    TxManager mgr;
-    StoreConfig cfg = comb_cfg(128, handoff);
-    cfg.trace_capacity = 1024;
-    Store s(&mgr, cfg);
-    constexpr int kThreads = 8;
-    constexpr int kOps = 400;
-    constexpr std::uint64_t kKeys = 16;  // hot: force real batching
+TEST(Combining, HandoffUnderChurn) {
+  TxManager mgr;
+  StoreConfig cfg = comb_cfg(128);
+  cfg.trace_capacity = 1024;
+  Store s(&mgr, cfg);
+  constexpr int kThreads = 8;
+  constexpr int kOps = 400;
+  constexpr std::uint64_t kKeys = 16;  // hot: force real batching
 
-    h::run_seeded(kThreads, 1234 + static_cast<int>(handoff),
-                  [&](int t, medley::util::Xoshiro256& rng) {
-                    (void)t;
-                    for (int i = 0; i < kOps; i++) {
-                      const std::uint64_t k = rng.next_bounded(kKeys);
-                      if (rng.next_bounded(2) == 0) {
-                        s.put(k, rng.next_bounded(1u << 16));
-                      } else {
-                        s.read_modify_write(
-                            k, [](const std::optional<std::uint64_t>& c) {
-                              return std::optional<std::uint64_t>(
-                                  c.value_or(0) + 1);
-                            });
-                      }
-                    }
-                  });
-
-    // Every mutation went through the combiner and completed: exactly
-    // N logical commits (C4), and since batches can hold several ops,
-    // at most as many batches as ops.
-    const std::uint64_t total = kThreads * kOps;
-    EXPECT_EQ(s.combined_ops(), total);
-    EXPECT_LE(s.combined_batches(), total);
-    EXPECT_GT(s.combined_batches(), 0u);
-    EXPECT_EQ(s.stats().commits, total);
-    EXPECT_EQ(s.stats().feed_pushed, total);
-    bool saw_batch = false;
-    for (const auto& e : s.trace_ring()->dump()) {
-      if (e.kind == medley::obs::TraceEvent::kCombineBatch) saw_batch = true;
+  h::run_seeded(kThreads, 1234, [&](int t, medley::util::Xoshiro256& rng) {
+    (void)t;
+    for (int i = 0; i < kOps; i++) {
+      const std::uint64_t k = rng.next_bounded(kKeys);
+      if (rng.next_bounded(2) == 0) {
+        s.put(k, rng.next_bounded(1u << 16));
+      } else {
+        s.read_modify_write(k, [](const std::optional<std::uint64_t>& c) {
+          return std::optional<std::uint64_t>(c.value_or(0) + 1);
+        });
+      }
     }
-    EXPECT_TRUE(saw_batch);
-    EXPECT_TRUE(mutually_consistent(s));
+  });
+
+  // Every mutation went through the combiner and completed: exactly N
+  // logical commits (C4), and since batches can hold several ops, at
+  // most as many batches as ops.
+  const std::uint64_t total = kThreads * kOps;
+  EXPECT_EQ(s.combined_ops(), total);
+  EXPECT_LE(s.combined_batches(), total);
+  EXPECT_GT(s.combined_batches(), 0u);
+  EXPECT_EQ(s.stats().commits, total);
+  EXPECT_EQ(s.stats().feed_pushed, total);
+  bool saw_batch = false;
+  for (const auto& e : s.trace_ring()->dump()) {
+    if (e.kind == medley::obs::TraceEvent::kCombineBatch) saw_batch = true;
   }
+  EXPECT_TRUE(saw_batch);
+  EXPECT_TRUE(mutually_consistent(s));
 }
 
 // ---- C3: the store invariants at 8 threads with combining on --------------
@@ -429,7 +447,7 @@ TEST(Combining, MixedWorkloadMutualConsistency8Threads) {
   std::vector<medley::store::FeedEntry<std::uint64_t, std::uint64_t>> log;
 
   h::run_seeded(8, 4242, [&](int t, medley::util::Xoshiro256& rng) {
-    if (t < 5) {  // mutators, combined sync + async pipelining
+    if (t < 5) {  // mutators: combined sync ops + apply_batch runs
       for (int i = 0; i < kOps; i++) {
         const auto k = rng.next_bounded(kKeys);
         switch (rng.next_bounded(4)) {
@@ -444,11 +462,10 @@ TEST(Combining, MixedWorkloadMutualConsistency8Threads) {
               return std::optional<std::uint64_t>(c.value_or(0) + 1);
             });
             break;
-          default: {  // submit a pipelined pair, then harvest both
-            auto f1 = s.async_put(k, k * 3);
-            auto f2 = s.async_put((k + 7) % kKeys, k * 3);
-            f1.get();
-            f2.get();
+          default: {  // a two-op run, one group commit
+            std::vector<Op> run = {put_op(k, k * 3),
+                                   put_op((k + 7) % kKeys, k * 3)};
+            s.apply_batch(run);
             i++;  // two logical ops
             break;
           }
@@ -543,139 +560,249 @@ TEST(Combining, StatsBillNCombinedOpsAsNLogicalOps) {
       << prom;
 }
 
-// ---- C6: async futures ----------------------------------------------------
+// ---- C6: apply_batch ------------------------------------------------------
 
-TEST(Combining, ExecutorSubmitIsDeferredAndPropagatesErrors) {
-  TxManager mgr;
-  TxExecutor ex;
-  std::atomic<int> runs{0};
-
-  auto fut = ex.submit(mgr, [&] {
-    runs.fetch_add(1);
-    return 42;
-  });
-  EXPECT_EQ(runs.load(), 0) << "bare-executor submit is lazy";
-  auto res = fut.get();
-  EXPECT_EQ(runs.load(), 1);
-  ASSERT_TRUE(res.committed());
-  EXPECT_EQ(res.value, std::optional<int>(42));
-
-  auto bad = ex.submit(mgr, [&]() -> int {
-    throw std::runtime_error("body failed");
-  });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-
-  medley::TxFuture<int> empty;
-  EXPECT_FALSE(empty.valid());
-  EXPECT_THROW(empty.get(), std::logic_error);
+/// Random PUT/DEL runs through apply_batch agree op by op with a
+/// sequential std::map oracle, on any store flavor.
+template <typename S>
+void apply_batch_matches_oracle(S& s, std::uint64_t seed) {
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  medley::util::Xoshiro256 rng(seed);
+  for (int round = 0; round < 40; round++) {
+    std::vector<Op> run;
+    std::vector<std::optional<std::uint64_t>> want;
+    const std::size_t len = 1 + rng.next_bounded(150);  // 1..3 chunks
+    for (std::size_t i = 0; i < len; i++) {
+      const std::uint64_t k = rng.next_bounded(40);
+      auto it = oracle.find(k);
+      want.push_back(it == oracle.end()
+                         ? std::nullopt
+                         : std::optional<std::uint64_t>(it->second));
+      if (rng.next_bounded(3) == 0) {
+        run.push_back(del_op(k));
+        oracle.erase(k);
+      } else {
+        const std::uint64_t v = rng.next_bounded(1u << 20);
+        run.push_back(put_op(k, v));
+        oracle[k] = v;
+      }
+    }
+    s.apply_batch(run);
+    for (std::size_t i = 0; i < len; i++) {
+      ASSERT_FALSE(run[i].err) << "round " << round << " op " << i;
+      ASSERT_EQ(run[i].res, want[i]) << "round " << round << " op " << i;
+    }
+  }
+  for (std::uint64_t k = 0; k < 40; k++) {
+    auto it = oracle.find(k);
+    EXPECT_EQ(s.get(k), it == oracle.end()
+                            ? std::nullopt
+                            : std::optional<std::uint64_t>(it->second))
+        << "key " << k;
+  }
 }
 
-TEST(Combining, AsyncSlotExhaustionFallsBackToEager) {
+TEST(ApplyBatch, PutDelResultsMatchMapOracle) {
   TxManager mgr;
-  StoreConfig cfg = comb_cfg(64);
-  cfg.combining.slots = 2;  // max_batch clamps to 2 as well
+  Store plain(&mgr, StoreConfig{});
+  apply_batch_matches_oracle(plain, 11);
+  EXPECT_TRUE(mutually_consistent(plain));
+
+  Sharded sharded(3, StoreConfig{});  // runs split across shards
+  apply_batch_matches_oracle(sharded, 12);
+}
+
+TEST(ApplyBatch, RunOf200CommitsAsFourChunks) {
+  TxManager mgr;
+  Store s(&mgr, StoreConfig{});
+  s.put(1'000'000, 1);  // eager, combining off: no group commit
+  const auto before = s.stats();
+  ASSERT_EQ(s.combined_batches(), 0u);
+
+  std::vector<Op> run;
+  for (std::uint64_t k = 0; k < 200; k++) run.push_back(put_op(k, k + 1));
+  s.apply_batch(run);
+
+  for (const Op& op : run) EXPECT_FALSE(op.err);
+  // 64 + 64 + 64 + 8: four transactions, none Capacity-aborted.
+  EXPECT_EQ(s.combined_batches(), 4u);
+  EXPECT_EQ(s.combined_ops(), 200u);
+  const auto after = s.stats();
+  EXPECT_EQ(after.capacity_aborts - before.capacity_aborts, 0u);
+  EXPECT_EQ(after.commits - before.commits, 200u);
+  EXPECT_EQ(after.feed_pushed - before.feed_pushed, 200u);
+  EXPECT_EQ(s.get(199), std::optional<std::uint64_t>(200));
+}
+
+TEST(ApplyBatch, PinnedConflictFailsExactlyOneChunk) {
+  // Three chunks; the middle one holds a parked rmw that a second thread
+  // invalidates, under a one-attempt policy. That chunk fails as a whole
+  // and leaves nothing behind; the chunks around it commit.
+  auto domain = std::make_shared<medley::core::TxDomain>();
+  TxManager mgr(domain);
+  TxManager mgr2(domain);
+  StoreConfig cfg;
+  cfg.buckets = 1024;
+  cfg.tx_policy = TxPolicy::bounded(1);
   Store s(&mgr, cfg);
-  ASSERT_EQ(s.config().combining.max_batch, 2u);
+  constexpr std::uint64_t kKey = 3;
+  constexpr std::size_t kChunk = medley::core::kMaxCombinedBatch;
+  PinnedConflict pin;
 
-  // Two futures park both slots; the third submission must execute
-  // eagerly (already-resolved future) instead of deadlocking.
-  auto f1 = s.async_put(1, 10);
-  auto f2 = s.async_put(2, 20);
-  auto f3 = s.async_put(3, 30);
-  EXPECT_TRUE(f3.ready());
-  EXPECT_EQ(s.get(3), std::optional<std::uint64_t>(30))
-      << "slot-exhausted submission executes eagerly";
+  std::vector<Op> run;
+  for (std::uint64_t k = 0; k < kChunk; k++) run.push_back(put_op(1000 + k, k));
+  for (std::uint64_t k = 0; k < kChunk - 1; k++) {
+    run.push_back(put_op(2000 + k, k));
+    if (k == kChunk / 2) run.push_back(rmw_op(kKey, pin));
+  }
+  for (std::uint64_t k = 0; k < 8; k++) run.push_back(put_op(3000 + k, k));
+  ASSERT_EQ(run.size(), 2 * kChunk + 8);
 
-  // Harvesting drives the parked batch (a lone thread must be able to
-  // complete its own pipeline).
-  EXPECT_FALSE(f1.get().has_value());
-  EXPECT_FALSE(f2.get().has_value());
-  EXPECT_EQ(s.get(1), std::optional<std::uint64_t>(10));
-  EXPECT_EQ(s.get(2), std::optional<std::uint64_t>(20));
-  EXPECT_EQ(s.stats().commits, 6u) << "3 mutations + the 3 reads above";
+  std::thread b = pin.conflict(mgr2, s, kKey);
+  s.apply_batch(run);
+  b.join();
+
+  for (std::size_t i = 0; i < run.size(); i++) {
+    const bool failed_chunk = i >= kChunk && i < 2 * kChunk;
+    ASSERT_EQ(static_cast<bool>(run[i].err), failed_chunk) << "op " << i;
+    if (failed_chunk) {
+      EXPECT_THROW(std::rethrow_exception(run[i].err), TransactionAborted);
+    }
+  }
+  for (std::uint64_t k = 0; k < kChunk - 1; k++) {
+    EXPECT_FALSE(s.get(2000 + k).has_value()) << "failed chunk leaked " << k;
+  }
+  EXPECT_EQ(s.get(kKey), std::optional<std::uint64_t>(100)) << "B's write only";
+  EXPECT_EQ(s.get(1000), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(s.get(3007), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(s.combined_batches(), 2u);
+  EXPECT_EQ(s.combined_ops(), kChunk + 8);
+  EXPECT_EQ(s.stats().feed_pushed, kChunk + 8 + 1);
   EXPECT_TRUE(mutually_consistent(s));
 }
 
-TEST(Combining, FutureResolutionInsideTransactionThrows) {
+TEST(ApplyBatch, FlatNestsIntoAnAmbientTransaction) {
+  // Inside an open transaction apply_batch is no group commit of its
+  // own: its ops join the enclosing transaction and commit or abort
+  // with it, like every store operation.
   TxManager mgr;
-  Store s(&mgr, comb_cfg(64));
-  auto fut = s.async_put(1, 10);
-  mgr.txBegin();
-  EXPECT_THROW(fut.get(), std::logic_error)
-      << "resolving would nest a batch transaction into the ambient one";
-  try {
-    mgr.txAbort();
-  } catch (const TransactionAborted&) {
-  }
-  EXPECT_FALSE(fut.get().has_value());  // fine outside
-  EXPECT_EQ(s.get(1), std::optional<std::uint64_t>(10));
+  Store s(&mgr, StoreConfig{});
+  std::vector<Op> run = {put_op(1, 10), put_op(2, 20)};
+  medley::execute_tx(mgr, [&] {
+    s.apply_batch(run);
+    mgr.txAbort();  // the enclosing transaction gives up
+  });
+  EXPECT_FALSE(s.get(1).has_value()) << "ops outlived their transaction";
+
+  run = {put_op(1, 10), del_op(1)};
+  medley::execute_tx(mgr, [&] { s.apply_batch(run); });
+  EXPECT_FALSE(run[0].res.has_value());
+  EXPECT_EQ(run[1].res, std::optional<std::uint64_t>(10));
+  EXPECT_FALSE(s.get(1).has_value());
+  EXPECT_EQ(s.stats().feed_pushed, 2u) << "committed with the ambient tx";
+  EXPECT_EQ(s.combined_batches(), 0u);
 }
 
-TEST(Combining, AbandonInsideTransactionLeaksSlotButIsCounted) {
-#ifndef NDEBUG
-  GTEST_SKIP() << "the misuse trips a debug assert by design; the "
-                  "counter path is Release-only";
-#else
-  TxManager mgr;
-  Store s(&mgr, comb_cfg(64));
-  EXPECT_EQ(s.combiner_slots_leaked(), 0u);
-  {
-    auto fut = s.async_put(1, 10);  // publishes a slot (outside any tx)
-    mgr.txBegin();
-    // Destroying the future inside the open transaction cannot help the
-    // combiner (helping would nest the batch transaction), so its still-
-    // pending slot is parked forever — the leak this counter surfaces.
-    { auto doomed = std::move(fut); }
-    EXPECT_EQ(s.combiner_slots_leaked(), 1u);
-    try {
-      mgr.txAbort();
-    } catch (const TransactionAborted&) {
-    }
+TEST(ApplyBatch, BillsNCommitsAndOneBatchPerChunkPerShard) {
+  StoreConfig cfg;
+  cfg.metrics = true;
+  cfg.metrics_sample_shift = 0;
+  Sharded s(2, cfg);
+  constexpr std::uint64_t kN = 150;
+  std::vector<Op> run;
+  std::uint64_t per_shard[2] = {0, 0};
+  for (std::uint64_t k = 0; k < kN; k++) {
+    run.push_back(put_op(k, k));
+    per_shard[s.shard_of(k)]++;
   }
-  // The OP is not lost — the next combine pass drains every published
-  // slot, parked ones included — only the slot's reusability is. Its
-  // commit goes unbilled (nobody consumes the result), which is why the
-  // recovery story is "restart the store", not an online reclaim.
-  auto f2 = s.async_put(2, 20);
-  EXPECT_FALSE(f2.get().has_value());
-  EXPECT_EQ(s.get(1), std::optional<std::uint64_t>(10))
-      << "a later combine should still execute the parked op";
+  s.apply_batch(run);
+
+  auto chunks = [](std::uint64_t n) {
+    return (n + medley::core::kMaxCombinedBatch - 1) /
+           medley::core::kMaxCombinedBatch;
+  };
+  EXPECT_EQ(s.stats().commits, kN) << "one logical commit per op";
+  EXPECT_EQ(s.combined_ops(), kN);
+  EXPECT_EQ(s.combined_batches(), chunks(per_shard[0]) + chunks(per_shard[1]));
+  std::uint64_t ops_total = 0;
+  std::uint64_t combined_total = 0;
+  auto& reg = *s.metrics_registry();
+  for (int i = 0; i < 2; i++) {
+    const std::string shard = std::to_string(i);
+    EXPECT_EQ(s.shard(i).combined_batches(), chunks(per_shard[i]));
+    ops_total += reg.counter("medley_store_ops_total", "",
+                             {{"shard", shard}, {"op", "put"}})
+                     .value();
+    combined_total += reg.counter("medley_store_combined_ops_total", "",
+                                  {{"shard", shard}})
+                          .value();
+  }
+  EXPECT_EQ(ops_total, kN);
+  EXPECT_EQ(combined_total, kN);
+}
+
+// ---- C7: wave staging in the wire adapter ---------------------------------
+
+TEST(WaveStaging, AdapterAppliesRunOnceOnFirstResolve) {
+  TxManager mgr;
+  Store s(&mgr, StoreConfig{});
+  medley::net::StoreAdapter<Store> a(&s);
+
+  auto f1 = a.async_put(1, 10);
+  auto f2 = a.async_put(2, 20);
+  auto f3 = a.async_del(1);
+  EXPECT_FALSE(s.get(2).has_value()) << "staging must not touch the store";
+  EXPECT_EQ(s.combined_batches(), 0u);
+
+  EXPECT_FALSE(f2.get().has_value());  // the first resolve applies all 3
+  EXPECT_EQ(s.combined_batches(), 1u);
+  EXPECT_EQ(s.combined_ops(), 3u);
   EXPECT_EQ(s.get(2), std::optional<std::uint64_t>(20));
-  EXPECT_EQ(s.combiner_slots_leaked(), 1u) << "counted once, not per pass";
-#endif
+  EXPECT_FALSE(s.get(1).has_value()) << "the run applies in staging order";
+  EXPECT_FALSE(f1.get().has_value());
+  EXPECT_EQ(f3.get(), std::optional<std::uint64_t>(10));
+  EXPECT_EQ(s.combined_batches(), 1u) << "later resolves only read results";
+
+  // A run applied, the next staging opens a fresh one.
+  auto f4 = a.async_put(2, 21);
+  EXPECT_EQ(f4.get(), std::optional<std::uint64_t>(20));
+  EXPECT_EQ(s.combined_batches(), 2u);
+
+  // Two adapters on one thread keep separate runs.
+  medley::net::StoreAdapter<Store> b(&s);
+  auto fa = a.async_put(5, 50);
+  auto fb = b.async_put(6, 60);
+  EXPECT_FALSE(fa.get().has_value());
+  EXPECT_EQ(s.get(5), std::optional<std::uint64_t>(50));
+  EXPECT_FALSE(s.get(6).has_value()) << "b's run rode a's apply_batch";
+  EXPECT_FALSE(fb.get().has_value());
+  EXPECT_EQ(s.get(6), std::optional<std::uint64_t>(60));
+  EXPECT_EQ(s.combined_batches(), 4u);
+}
+
+TEST(WaveStaging, AdapterDiscardsRunWhoseFuturesWereDropped) {
+  Sharded s(2, StoreConfig{});
+  medley::net::StoreAdapter<Sharded> a(&s);
+  {
+    auto f1 = a.async_put(1, 10);
+    auto f2 = a.async_put(2, 20);
+  }  // both dropped unresolved
+  auto f3 = a.async_put(3, 30);
+  EXPECT_FALSE(f3.get().has_value());
+  EXPECT_FALSE(s.get(1).has_value()) << "a dropped run was applied";
+  EXPECT_FALSE(s.get(2).has_value());
+  EXPECT_EQ(s.get(3), std::optional<std::uint64_t>(30));
+  EXPECT_EQ(s.combined_ops(), 1u);
+  EXPECT_EQ(s.stats().key_count(), 1u);
 }
 
 // ---- moved-from-request regressions (string K/V) --------------------------
 // uint64_t K/V cannot catch a moved-from request (trivial types stay
-// bitwise-intact after std::move); std::string goes empty, so these tests
-// fail loudly if any publish/fallback path executes a request it already
+// bitwise-intact after std::move); std::string goes empty, so this test
+// fails loudly if the publish retry loop executes a request it already
 // moved from (try_publish's contract: moved from ONLY on success).
 
 using StrStore = MedleyStore<std::string, std::string>;
-
-TEST(Combining, StringKVSlotExhaustionExecutesCallersRequest) {
-  TxManager mgr;
-  StoreConfig cfg = comb_cfg(64);
-  cfg.combining.slots = 2;
-  StrStore s(&mgr, cfg);
-
-  auto f1 = s.async_put("alpha", "first");
-  auto f2 = s.async_put("beta", "second");
-  // Both slots parked: this submission takes the eager fallback, which
-  // must see the ORIGINAL request (a failed try_publish may not move it).
-  auto f3 = s.async_put("gamma", "third");
-  EXPECT_TRUE(f3.ready());
-  EXPECT_FALSE(f3.get().has_value());
-  EXPECT_EQ(s.get("gamma"), std::optional<std::string>("third"))
-      << "slot-exhausted fallback executed a moved-from request";
-  EXPECT_FALSE(s.get("").has_value())
-      << "a moved-from (empty) key was committed";
-
-  EXPECT_FALSE(f1.get().has_value());
-  EXPECT_FALSE(f2.get().has_value());
-  EXPECT_EQ(s.get("alpha"), std::optional<std::string>("first"));
-  EXPECT_EQ(s.get("beta"), std::optional<std::string>("second"));
-}
 
 TEST(Combining, StringKVPublishRetryPreservesRequests) {
   TxManager mgr;
@@ -720,36 +847,6 @@ TEST(Combining, StringKVPublishRetryPreservesRequests) {
   EXPECT_EQ(s.combined_ops(), static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
-TEST(Combining, AbandonedFutureReclaimsSlotAndBillsCommit) {
-  TxManager mgr;
-  StoreConfig cfg = comb_cfg(64);
-  cfg.combining.slots = 2;
-  StrStore s(&mgr, cfg);
-
-  {
-    auto f1 = s.async_put("a", "1");
-    auto f2 = s.async_put("b", "2");
-    // Dropped without get(): the destructors drive both ops to
-    // completion, bill them, and free the publication slots.
-  }
-  EXPECT_EQ(s.get("a"), std::optional<std::string>("1"))
-      << "an abandoned future's op must still commit";
-  EXPECT_EQ(s.get("b"), std::optional<std::string>("2"));
-  EXPECT_EQ(s.combined_ops(), 2u);
-  EXPECT_EQ(s.stats().commits, 4u) << "2 abandoned puts + 2 reads";
-
-  // Both slots are free again: the next pipelined pair publishes into the
-  // combiner (combined_ops keeps counting) instead of falling back eager.
-  auto f3 = s.async_put("c", "3");
-  auto f4 = s.async_put("d", "4");
-  EXPECT_EQ(f3.get(), std::nullopt);
-  EXPECT_EQ(f4.get(), std::nullopt);
-  EXPECT_EQ(s.combined_ops(), 4u)
-      << "slots parked by abandoned futures were not reclaimed";
-  EXPECT_EQ(s.get("c"), std::optional<std::string>("3"));
-  EXPECT_EQ(s.get("d"), std::optional<std::string>("4"));
-}
-
 // ---- sharded stores -------------------------------------------------------
 
 TEST(Combining, ShardedPointOpsCombinePerShardCrossShardBypasses) {
@@ -765,23 +862,23 @@ TEST(Combining, ShardedPointOpsCombinePerShardCrossShardBypasses) {
       if (rng.next_bounded(2) == 0) {
         s.put(k, k + 1);
       } else {
-        auto f = s.async_put(k, k + 2);
-        f.get();
+        std::vector<Op> run = {put_op(k, k + 2)};
+        s.apply_batch(run);
       }
     }
   });
-  // Every point mutation combined on its home shard.
+  // Every point mutation group-committed on its home shard.
   EXPECT_EQ(s.combined_ops(),
             static_cast<std::uint64_t>(kThreads) * kOps);
 
-  // Cross-shard multi_put bypasses the combiners (it must stay ONE atomic
+  // Cross-shard multi_put bypasses group commit (it must stay ONE atomic
   // domain transaction) yet remains all-or-nothing.
   const std::uint64_t before = s.combined_ops();
   std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
   for (std::uint64_t k = 100; k < 116; k++) batch.emplace_back(k, k * 10);
   s.multi_put(batch);
   EXPECT_EQ(s.combined_ops(), before)
-      << "cross-shard transactions must not route through the combiner";
+      << "cross-shard transactions must not route through group commit";
   for (std::uint64_t k = 100; k < 116; k++) {
     EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(k * 10));
   }

@@ -10,6 +10,7 @@
 
 #include "smr/ebr.hpp"
 #include "test_support.hpp"
+#include "util/thread_registry.hpp"
 
 using medley::smr::EBR;
 
@@ -111,9 +112,18 @@ TEST(Ebr, ManyThreadsRetireConcurrently) {
   });
   // Exited threads may leave limbo bags behind; thread ids (and with them
   // the bags) are leased to the next generation of threads, whose drain()
-  // sweeps what they inherited. Two generations make the count exact.
+  // sweeps what they inherited. A generation inherits every bag only if
+  // its threads hold their ids at the same time: a thread that exits
+  // before the next one starts hands it the same lowest free id, leaving
+  // higher ids (and their bags) unvisited. So each sweeper leases its id
+  // and waits for the others before draining. Two generations make the
+  // count exact.
   for (int round = 0; round < 2; round++) {
+    std::atomic<int> leased{0};
     medley::test::run_threads(kThreads, [&](int) {
+      medley::util::ThreadRegistry::tid();
+      leased.fetch_add(1);
+      while (leased.load() < kThreads) std::this_thread::yield();
       EBR::instance().drain();
     });
     ebr.drain();
