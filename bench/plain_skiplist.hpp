@@ -27,6 +27,10 @@
 //     ARE the transform;
 //   * no range()/scan(): Fig. 10 measures point-op latency only, and the
 //     transactional range has no meaning without a read set;
+//   * no put() and no value cell: Fig. 10 measures insert/remove/get
+//     only, and the transform's put is transactional-only (its pin and
+//     value CASes are atomic only under MCNS), so a plain value field
+//     stays here;
 //   * random_level() seeds differ (irrelevant to the measured shape).
 
 #include <atomic>
@@ -168,11 +172,11 @@ class PlainSkiplist {
   }
 
   void link_upper(Node* node, const K& k) {
+    Pos pos;
+    find(pos, k);
     bool abandoned = false;
     for (int lvl = 1; lvl < node->level && !abandoned; lvl++) {
       for (;;) {
-        Pos pos;
-        find(pos, k);
         Node* cur = node->next[lvl].load(std::memory_order_acquire);
         if (ds::is_marked(cur) || pos.succs[0] != node) {
           abandoned = true;
@@ -191,10 +195,10 @@ class PlainSkiplist {
                 expected, node, std::memory_order_acq_rel)) {
           break;
         }
+        find(pos, k);
       }
     }
     if (ds::is_marked(node->next[0].load(std::memory_order_acquire))) {
-      Pos pos;
       find(pos, k);
     }
   }

@@ -10,8 +10,31 @@
 //            upper-level marks are benign pre-linearization CASes (they
 //            cannot make the remove take effect and merely demote the
 //            node), and physical unlinking + retirement is cleanup.
+//   put    : new key — insert's level-0 link. Existing key — one search,
+//            then two critical CASes on the live node: a same-value CAS on
+//            its next[0] (pub; the pin), then the CAS on its value cell
+//            (lin). No node is allocated or retired.
 //   get    : the load of curr->next[0] observing curr unmarked (found), or
 //            of preds[0]->next[0] observing the gap (absent).
+//
+// The value cell. A node's value lives in a CASObj word: V itself when V
+// is word-sized and trivially copyable, else a pointer to an immutable
+// heap box holding V. Same algorithm either way: put makes the new box
+// with tNew and retires the old one with tRetire; a node frees the box it
+// points to when it is destroyed.
+//
+// The pin. Every writer of a value cell first installs on the node's
+// next[0] with a same-value CAS. Until commit that holds off a concurrent
+// remove (which must mark next[0]) and insert-after (which must swing it),
+// and the pin's counter bump at commit invalidates every reader that
+// registered the link. So readers (get, range, scan) register only
+// level-0 links — a scan of n entries is n+1 read entries — provided they
+// register next[0] BEFORE they load the value: the value read can then
+// never be older than the counter validation checks.
+//
+// put is transactional only: it throws std::logic_error when no
+// transaction is open, because its two critical CASes are atomic only
+// under MCNS. Every other operation also runs standalone.
 //
 // Retirement policy: only the remover retires a node, in its cleanup,
 // after one complete search(k) call has ensured the node is unlinked from
@@ -21,6 +44,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,14 +74,12 @@ class FraserSkiplist : public core::Composable {
   std::optional<V> get(const K& k) {
     OpStarter op(mgr);
     Pos pos;
-    std::optional<V> res;
-    if (find(pos, k)) {
-      res = pos.succs[0]->val;
-      addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
-    } else {
+    if (!find(pos, k)) {
       addToReadSet(&pos.preds[0]->next[0], pos.succs[0]);
+      return std::nullopt;
     }
-    return res;
+    addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);  // before the value
+    return value_of(pos.succs[0]->val.nbtcLoad());
   }
 
   /// Existence-only probe: same linearizing evidence as get() (the
@@ -82,15 +105,44 @@ class FraserSkiplist : public core::Composable {
         addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
         return false;
       }
-      if (node == nullptr) node = tNew<Node>(k, v, random_level());
-      for (int i = 0; i < node->level; i++) node->next[i].store(pos.succs[i]);
-      if (pos.preds[0]->next[0].nbtcCAS(pos.succs[0], node, /*lin=*/true,
-                                        /*pub=*/true)) {
-        if (node->level > 1) {
-          addToCleanups([this, node, k] { link_upper(node, k); });
-        }
-        return true;
+      if (link_new(pos, node, k, v)) return true;
+    }
+  }
+
+  /// Insert-or-replace; returns the previous value if any. Transactional
+  /// only (see the header): throws std::logic_error outside a transaction.
+  /// An existing key costs one search and no node allocation: pin the
+  /// node's next[0], then swing its value cell.
+  std::optional<V> put(const K& k, const V& v) {
+    OpStarter op(mgr);
+    if (op.ctx == nullptr) {
+      throw std::logic_error(
+          "FraserSkiplist::put needs an open transaction");
+    }
+    Pos pos;
+    Node* node = nullptr;
+    for (;;) {
+      if (!find(pos, k)) {
+        if (link_new(pos, node, k, v)) return std::nullopt;
+        continue;
       }
+      Node* curr = pos.succs[0];
+      if (!curr->next[0].nbtcCAS(pos.succ0_next, pos.succ0_next,
+                                 /*lin=*/false, /*pub=*/true)) {
+        continue;  // removed or insert-after since the search: re-search
+      }
+      const Word old = curr->val.nbtcLoad();
+      // Every writer of the cell pins next[0] first, and the pin is ours
+      // until commit: this CAS fails only if a peer already aborted us,
+      // and the re-search then throws.
+      if (!curr->val.nbtcCAS(old, make_word(v), /*lin=*/true,
+                             /*pub=*/false)) {
+        continue;
+      }
+      if (node != nullptr) tDelete(node);
+      std::optional<V> res = value_of(old);
+      if constexpr (kBoxed) tRetire(old);
+      return res;
     }
   }
 
@@ -116,7 +168,7 @@ class FraserSkiplist : public core::Composable {
       while (!is_marked(nx0)) {
         if (victim->next[0].nbtcCAS(nx0, mark(nx0), /*lin=*/true,
                                     /*pub=*/true)) {
-          V res = victim->val;
+          V res = value_of(victim->val.nbtcLoad());
           addToCleanups([this, victim, k] {
             Pos p;
             find(p, k);  // one full search unlinks victim everywhere
@@ -197,13 +249,49 @@ class FraserSkiplist : public core::Composable {
   template <typename T>
   using CASObj = core::CASObj<T>;
 
+  /// A value cell holds V itself when it fits a CASObj word, else a
+  /// pointer to an immutable heap box (see the header).
+  static constexpr bool kBoxed =
+      !(sizeof(V) <= 8 && std::is_trivially_copyable_v<V>);
+  using Word = std::conditional_t<kBoxed, V*, V>;
+
+  static V value_of(Word w) {
+    if constexpr (kBoxed) {
+      return *w;
+    } else {
+      return w;
+    }
+  }
+
+  /// The word a put installs: a fresh box (freed if the transaction
+  /// aborts) or the value itself.
+  Word make_word(const V& v) {
+    if constexpr (kBoxed) {
+      return tNew<V>(v);
+    } else {
+      return v;
+    }
+  }
+
   struct Node {
     K key;
-    V val;
+    CASObj<Word> val;
     int level;
     std::unique_ptr<CASObj<Node*>[]> next;
     Node(const K& k, const V& v, int lvl)
-        : key(k), val(v), level(lvl), next(new CASObj<Node*>[lvl]) {}
+        : key(k), val(box(v)), level(lvl), next(new CASObj<Node*>[lvl]) {}
+    ~Node() {
+      if constexpr (kBoxed) delete val.load();
+    }
+
+   private:
+    static Word box(const V& v) {
+      if constexpr (kBoxed) {
+        return new V(v);
+      } else {
+        return v;
+      }
+    }
   };
 
   struct Pos {
@@ -321,8 +409,8 @@ class FraserSkiplist : public core::Composable {
           curr = unmark(raw);
           continue;
         }
-        out.emplace_back(curr->key, curr->val);
         reg(&curr->next[0], raw);  // witnesses curr live + successor
+        out.emplace_back(curr->key, value_of(curr->val.nbtcLoad()));
         pred_cell = &curr->next[0];
         curr = raw;
       }
@@ -334,14 +422,33 @@ class FraserSkiplist : public core::Composable {
     }
   }
 
+  /// insert's and put's new-key path: link `node` (allocated on the first
+  /// attempt, reused by retries) at level 0 between the searched
+  /// neighbours. True iff that linearizing CAS landed; the upper levels
+  /// are then a cleanup.
+  bool link_new(Pos& pos, Node*& node, const K& k, const V& v) {
+    if (node == nullptr) node = tNew<Node>(k, v, random_level());
+    for (int i = 0; i < node->level; i++) node->next[i].store(pos.succs[i]);
+    if (!pos.preds[0]->next[0].nbtcCAS(pos.succs[0], node, /*lin=*/true,
+                                       /*pub=*/true)) {
+      return false;
+    }
+    if (node->level > 1) {
+      addToCleanups([this, node, k] { link_upper(node, k); });
+    }
+    return true;
+  }
+
   /// Post-linearization cleanup of insert: link `node` at levels 1..h-1.
-  /// Abandons a level (and the rest) as soon as the node is found marked.
+  /// One search serves every level; as in Fraser's algorithm, only a
+  /// failed link CAS searches again. Abandons a level (and the rest) as
+  /// soon as the node is found marked.
   void link_upper(Node* node, const K& k) {
+    Pos pos;
+    find(pos, k);
     bool abandoned = false;
     for (int lvl = 1; lvl < node->level && !abandoned; lvl++) {
       for (;;) {
-        Pos pos;
-        find(pos, k);
         Node* cur = node->next[lvl].load();
         if (is_marked(cur) || pos.succs[0] != node) {
           abandoned = true;  // node being/been removed: stop helping it up
@@ -353,7 +460,7 @@ class FraserSkiplist : public core::Composable {
           break;
         }
         if (pos.preds[lvl]->next[lvl].CAS(pos.succs[lvl], node)) break;
-        // Predecessor moved: re-find and retry this level.
+        find(pos, k);  // predecessor moved: search again, retry this level
       }
     }
     // Fraser's closing check: a concurrent remove may have finished its
@@ -362,10 +469,7 @@ class FraserSkiplist : public core::Composable {
     // marked, run one more search — it unlinks whatever we linked, and it
     // happens before our EBR guard releases, i.e. before the node can be
     // freed.
-    if (is_marked(node->next[0].load())) {
-      Pos pos;
-      find(pos, k);
-    }
+    if (is_marked(node->next[0].load())) find(pos, k);
   }
 
   Node* head_;

@@ -62,7 +62,15 @@ class TxMontageMap {
   std::optional<std::uint64_t> put(std::uint64_t k, std::uint64_t v) {
     EpochSys::OpGuard g(es_);
     PBlk* payload = alloc(k, v);
-    auto old = index_.put(k, payload);
+    std::optional<PBlk*> old;
+    try {
+      old = index_.put(k, payload);
+    } catch (const std::logic_error&) {
+      // The index refused the call (the skiplist's put needs an open
+      // transaction): the payload must not persist as if committed.
+      es_->cancel_payload(payload);
+      throw;
+    }
     if (!old) return std::nullopt;
     const std::uint64_t old_val = (*old)->val;
     es_->retire_payload(*old);

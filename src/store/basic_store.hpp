@@ -20,9 +20,9 @@
 //
 // Interface contract:
 //   Primary:   get/put/remove (put returns the previous value);
-//   Secondary: insert/remove/range/scan (no put — replace is remove+insert
-//              inside the same transaction, which is equivalent and
-//              exercises the composition harder).
+//   Secondary: put/remove/range/scan. A store PUT is one secondary put:
+//              an existing key's value is replaced in place (one search,
+//              no node allocated or retired), a new key is inserted.
 //
 // Nesting: a store operation called while the thread is already inside a
 // transaction of the same manager flat-nests into it (its effects commit
@@ -645,8 +645,7 @@ class BasicMedleyStore : public core::Composable {
 
   std::optional<V> put_in_tx(const K& k, const V& v) {
     std::optional<V> old = primary_->put(k, v);
-    if (old) secondary_->remove(k);
-    secondary_->insert(k, v);
+    secondary_->put(k, v);
     feed_append(FeedItem{FeedOp::Put, k, v});
     // Key-count accounting rides the cleanup list like the feed counters:
     // counted once iff the mutation actually commits, so key_count() is

@@ -19,7 +19,8 @@
 //              init + inserts + creating-puts - removes == final presence),
 //              and every value read or left behind was actually written.
 //      queues: no value invented, none duplicated, none lost (multiset
-//              conservation against the final drain), and FIFO order for
+//              conservation against the final drain), no dequeue that
+//              ended before its value's enqueue began, and FIFO order for
 //              enqueue pairs whose intervals don't overlap — if e1 finished
 //              before e2 began, v2's dequeue may not finish before v1's
 //              begins.
@@ -221,6 +222,9 @@ inline ::testing::AssertionResult check_queue_history(
   std::map<std::uint64_t, const OpRecord*> deq;  // value -> dequeue record
   std::set<std::uint64_t> known(initial.begin(), initial.end());
 
+  // Pass 1: collect every enqueue. A dequeue may start before the enqueue
+  // of its value and still be legal when the two overlap, so the dequeues
+  // can only be judged once every enqueue is known.
   for (const OpRecord& r : history) {
     switch (r.kind) {
       case OpKind::Enqueue:
@@ -233,19 +237,29 @@ inline ::testing::AssertionResult check_queue_history(
         enq.emplace(r.key, &r);
         break;
       case OpKind::Dequeue:
-        if (!r.ok) break;
-        if (!known.count(r.out)) {
-          return ::testing::AssertionFailure()
-                 << "dequeue invented a value: " << describe(r);
-        }
-        if (!deq.emplace(r.out, &r).second) {
-          return ::testing::AssertionFailure()
-                 << "value dequeued twice: " << describe(r);
-        }
         break;
       default:
         return ::testing::AssertionFailure()
                << "map operation in a queue history: " << describe(r);
+    }
+  }
+
+  // Pass 2: every dequeued value was enqueued (or initial), at most once,
+  // and not by an enqueue that began only after the dequeue had ended.
+  for (const OpRecord& r : history) {
+    if (r.kind != OpKind::Dequeue || !r.ok) continue;
+    if (!known.count(r.out)) {
+      return ::testing::AssertionFailure()
+             << "dequeue invented a value: " << describe(r);
+    }
+    if (auto e = enq.find(r.out); e != enq.end() && r.end < e->second->start) {
+      return ::testing::AssertionFailure()
+             << "dequeue ended before its enqueue began: " << describe(r)
+             << " vs " << describe(*e->second);
+    }
+    if (!deq.emplace(r.out, &r).second) {
+      return ::testing::AssertionFailure()
+             << "value dequeued twice: " << describe(r);
     }
   }
 

@@ -190,6 +190,25 @@ TEST(QueueInvariants, CatchesOvertakenStrandedValue) {
   EXPECT_FALSE(h::check_queue_history(hist, {}, {1}));
 }
 
+TEST(QueueInvariants, AcceptsDequeueStartingBeforeOverlappingEnqueue) {
+  // The dequeue starts first (so it sorts first by start tick), but the
+  // enqueue begins before the dequeue ends: the enqueue may linearize
+  // first, so returning its value is legal.
+  std::vector<h::OpRecord> hist{
+      {1, h::OpKind::Dequeue, 0, 0, true, 5, 0, 3},
+      {0, h::OpKind::Enqueue, 5, 0, true, 0, 1, 2},
+  };
+  EXPECT_TRUE(h::check_queue_history(hist, {}, {}));
+}
+
+TEST(QueueInvariants, RejectsDequeueEndingBeforeItsEnqueueStarts) {
+  std::vector<h::OpRecord> hist{
+      {1, h::OpKind::Dequeue, 0, 0, true, 5, 0, 1},
+      {0, h::OpKind::Enqueue, 5, 0, true, 0, 2, 3},
+  };
+  EXPECT_FALSE(h::check_queue_history(hist, {}, {}));
+}
+
 // ---------------------------------------------------------------------
 // Schedule driver.
 

@@ -1,11 +1,14 @@
 // Fraser-skiplist-specific behaviour: upper-level linking/cleanup,
-// tower demotion on remove, behaviour under many levels, plus a
-// longer-running concurrent oracle check.
+// tower demotion on remove, behaviour under many levels, the in-place
+// transactional put, plus longer-running concurrent oracle checks.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "ds/fraser_skiplist.hpp"
@@ -13,8 +16,10 @@
 #include "util/rng.hpp"
 
 using medley::TransactionAborted;
+using medley::TxExecutor;
 using medley::TxManager;
 using SL = medley::ds::FraserSkiplist<std::uint64_t, std::uint64_t>;
+using Opt = std::optional<std::uint64_t>;
 
 TEST(Skiplist, UpperLevelsEventuallyLinked) {
   // After enough sequential inserts, the skiplist must have populated
@@ -372,4 +377,280 @@ TEST(Skiplist, ScanReadSetFootprintSinglePassExact) {
   EXPECT_EQ(sc.size(), 40u);
   EXPECT_EQ(mgr.my_desc()->read_count(), 41);
   mgr.txEnd();
+}
+
+// ---------------------------------------------------------------------
+// put: transactional insert-or-replace. An existing key is replaced in
+// place (pin next[0], then swing the value cell); a new key is inserted.
+
+namespace {
+
+/// One put as its own transaction (put is transactional-only).
+Opt tx_put(TxManager& mgr, SL& s, std::uint64_t k, std::uint64_t v) {
+  Opt prev;
+  medley::execute_tx(mgr, [&] { prev = s.put(k, v); });
+  return prev;
+}
+
+/// The map shape the harness recorders drive, with put run as a
+/// transaction of its own.
+struct TxPutMap {
+  TxManager* mgr;
+  SL* s;
+  Opt get(std::uint64_t k) { return s->get(k); }
+  bool insert(std::uint64_t k, std::uint64_t v) { return s->insert(k, v); }
+  Opt remove(std::uint64_t k) { return s->remove(k); }
+  Opt put(std::uint64_t k, std::uint64_t v) { return tx_put(*mgr, *s, k, v); }
+};
+
+}  // namespace
+
+TEST(SkiplistPut, OutsideATransactionThrows) {
+  TxManager mgr;
+  SL s(&mgr);
+  s.insert(1, 1);
+  EXPECT_THROW(s.put(1, 2), std::logic_error);
+  EXPECT_THROW(s.put(2, 2), std::logic_error);
+  EXPECT_EQ(s.get(1), Opt(1));
+  EXPECT_FALSE(s.contains(2));
+}
+
+TEST(SkiplistPut, MatchesMapOracleOverNewExistingAndRemovedKeys) {
+  TxManager mgr;
+  SL s(&mgr);
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  medley::util::Xoshiro256 rng(1601);
+  for (int i = 0; i < 3000; i++) {
+    const auto k = rng.next_bounded(48);
+    const auto v = rng.next();
+    auto it = oracle.find(k);
+    const Opt before = it == oracle.end() ? Opt() : Opt(it->second);
+    switch (rng.next_bounded(4)) {
+      case 0:
+      case 1:
+        ASSERT_EQ(tx_put(mgr, s, k, v), before) << "put " << k;
+        oracle[k] = v;
+        break;
+      case 2:
+        ASSERT_EQ(s.remove(k), before) << "remove " << k;
+        oracle.erase(k);
+        break;
+      default:
+        ASSERT_EQ(s.insert(k, v), !before.has_value()) << "insert " << k;
+        oracle.emplace(k, v);
+        break;
+    }
+    const auto now = oracle.find(k);
+    ASSERT_EQ(s.get(k), now == oracle.end() ? Opt() : Opt(now->second));
+    if (i % 50 == 0) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> all(oracle.begin(),
+                                                               oracle.end());
+      ASSERT_EQ(s.range(0, 48), all);
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> window;
+      for (auto w = oracle.lower_bound(k); w != oracle.end() && window.size() < 8;
+           ++w) {
+        window.push_back(*w);
+      }
+      ASSERT_EQ(s.scan(k, 8), window);
+      ASSERT_TRUE(s.invariants_hold_slow());
+    }
+  }
+  EXPECT_EQ(s.size_slow(), oracle.size());
+}
+
+TEST(SkiplistPut, WriteSetFootprintExact) {
+  // An existing key costs the pin on next[0] and the value CAS: 2 write
+  // entries and no read entry. Repeating the put inside the same
+  // transaction updates both entries in place. A new key is insert's
+  // single level-0 link.
+  TxManager mgr;
+  SL s(&mgr);
+  for (std::uint64_t k = 1; k <= 64; k++) s.insert(k, k);
+
+  mgr.txBegin();
+  auto* d = mgr.my_desc();
+  EXPECT_EQ(s.put(10, 100), Opt(10));
+  EXPECT_EQ(d->write_count(), 2);
+  EXPECT_EQ(d->read_count(), 0);
+  EXPECT_EQ(s.put(10, 101), Opt(100));
+  EXPECT_EQ(d->write_count(), 2);
+  EXPECT_EQ(d->read_count(), 0);
+  EXPECT_EQ(s.put(1000, 7), Opt());
+  EXPECT_EQ(d->write_count(), 3);
+  EXPECT_EQ(d->read_count(), 0);
+  mgr.txEnd();
+
+  EXPECT_EQ(s.get(10), Opt(101));
+  EXPECT_EQ(s.get(1000), Opt(7));
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+TEST(SkiplistPut, SameTransactionSequences) {
+  TxManager mgr;
+  SL s(&mgr);
+  for (std::uint64_t k = 1; k <= 8; k++) s.insert(k, k);
+
+  medley::execute_tx(mgr, [&] {  // put;put
+    EXPECT_EQ(s.put(1, 10), Opt(1));
+    EXPECT_EQ(s.put(1, 11), Opt(10));
+    EXPECT_EQ(s.get(1), Opt(11));
+  });
+  medley::execute_tx(mgr, [&] {  // put;remove
+    EXPECT_EQ(s.put(2, 20), Opt(2));
+    EXPECT_EQ(s.remove(2), Opt(20));
+    EXPECT_EQ(s.get(2), Opt());
+  });
+  medley::execute_tx(mgr, [&] {  // remove;put
+    EXPECT_EQ(s.remove(3), Opt(3));
+    EXPECT_EQ(s.put(3, 30), Opt());
+    EXPECT_EQ(s.get(3), Opt(30));
+  });
+  medley::execute_tx(mgr, [&] {  // insert;put
+    EXPECT_TRUE(s.insert(100, 1));
+    EXPECT_EQ(s.put(100, 2), Opt(1));
+    EXPECT_EQ(s.scan(100, 1),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{{100, 2}}));
+  });
+
+  // Aborted puts, existing and new key: nothing of them is visible.
+  try {
+    mgr.txBegin();
+    EXPECT_EQ(s.put(4, 40), Opt(4));
+    EXPECT_EQ(s.put(200, 1), Opt());
+    EXPECT_EQ(s.get(4), Opt(40));
+    mgr.txAbort();
+  } catch (const TransactionAborted&) {
+  }
+
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want{
+      {1, 11}, {3, 30}, {4, 4}, {5, 5}, {6, 6}, {7, 7}, {8, 8}, {100, 2}};
+  EXPECT_EQ(s.range(0, 1000), want);
+  EXPECT_FALSE(s.contains(2));
+  EXPECT_FALSE(s.contains(200));
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+TEST(SkiplistPut, BoxedValuesRoundTrip) {
+  // A std::string is not word-sized: it lives in a heap box the value
+  // cell points to, replaced (never mutated) by each put.
+  using StrSL = medley::ds::FraserSkiplist<std::uint64_t, std::string>;
+  using OptS = std::optional<std::string>;
+  TxManager mgr;
+  StrSL s(&mgr);
+  auto put = [&](std::uint64_t k, const std::string& v) {
+    OptS prev;
+    medley::execute_tx(mgr, [&] { prev = s.put(k, v); });
+    return prev;
+  };
+  const std::string big(200, 'x');  // never fits a small-string buffer
+
+  EXPECT_EQ(put(1, "one"), OptS());
+  EXPECT_EQ(put(2, "two"), OptS());
+  EXPECT_EQ(put(1, big), OptS("one"));
+  EXPECT_EQ(s.get(1), OptS(big));
+  medley::execute_tx(mgr, [&] {
+    EXPECT_EQ(s.put(2, "2a"), OptS("two"));
+    EXPECT_EQ(s.put(2, "2b"), OptS("2a"));
+  });
+  EXPECT_EQ(s.scan(0, 10),
+            (std::vector<std::pair<std::uint64_t, std::string>>{{1, big},
+                                                                {2, "2b"}}));
+  try {
+    mgr.txBegin();
+    EXPECT_EQ(s.put(1, "aborted"), OptS(big));
+    EXPECT_EQ(s.get(1), OptS("aborted"));
+    mgr.txAbort();
+  } catch (const TransactionAborted&) {
+  }
+  EXPECT_EQ(s.get(1), OptS(big));
+  EXPECT_EQ(s.remove(1), OptS(big));
+  EXPECT_EQ(s.get(1), OptS());
+  EXPECT_EQ(put(1, "again"), OptS());
+  EXPECT_EQ(s.range(0, 10),
+            (std::vector<std::pair<std::uint64_t, std::string>>{{1, "again"},
+                                                                {2, "2b"}}));
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+TEST(SkiplistPutOracle, PairPutsNeverTearAScan) {
+  // Two writers each put a key pair (2i, 2i+1) to one fresh value per
+  // transaction; readers scan the whole list, one under execute and one
+  // under execute_ro. Readers register only level-0 links, so this holds
+  // only because every put pins its node's next[0] and readers register
+  // that link before they load the value.
+  TxManager mgr;
+  SL s(&mgr);
+  constexpr std::uint64_t kPairs = 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  for (std::uint64_t k = 0; k < 2 * kPairs; k++) s.insert(k, 0);
+  std::atomic<int> writers_left{2};
+  std::atomic<std::uint64_t> torn{0}, scans{0};
+
+  h::run_seeded(4, 2031, [&](int t, medley::util::Xoshiro256& rng) {
+    if (t < 2) {
+      for (std::uint64_t i = 1;
+           i <= 1000 || std::chrono::steady_clock::now() < deadline; i++) {
+        const auto p = rng.next_bounded(kPairs);
+        const std::uint64_t v = (static_cast<std::uint64_t>(t + 1) << 32) | i;
+        medley::execute_tx(mgr, [&] {
+          s.put(2 * p, v);
+          s.put(2 * p + 1, v);
+        });
+      }
+      writers_left.fetch_sub(1);
+      return;
+    }
+    TxExecutor ex;
+    auto body = [&] { return s.scan(0, 2 * kPairs); };
+    while (writers_left.load() > 0) {
+      auto res = t == 2 ? ex.execute(mgr, body) : ex.execute_ro(mgr, body);
+      ASSERT_TRUE(res.committed());
+      scans.fetch_add(1, std::memory_order_relaxed);
+      const auto& snap = *res.value;
+      if (snap.size() != 2 * kPairs) {
+        torn.fetch_add(1);
+        continue;
+      }
+      for (std::uint64_t p = 0; p < kPairs; p++) {
+        if (snap[2 * p].second != snap[2 * p + 1].second) {
+          torn.fetch_add(1);
+          break;
+        }
+      }
+    }
+  });
+
+  EXPECT_EQ(torn.load(), 0u) << "of " << scans.load() << " committed scans";
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+TEST(SkiplistPutOracle, PutRacingInsertRemoveSatisfiesSetInvariants) {
+  TxManager mgr;
+  SL s(&mgr);
+  std::map<std::uint64_t, std::uint64_t> initial;
+  for (std::uint64_t k = 0; k < 12; k += 2) {
+    s.insert(k, k + 9000);
+    initial[k] = k + 9000;
+  }
+  TxPutMap m{&mgr, &s};
+  h::Recorder rec;
+  h::RecordedMap<TxPutMap> rm(&m, &rec);
+  h::run_seeded(6, 53, [&](int t, medley::util::Xoshiro256& rng) {
+    for (int i = 0; i < 1000; i++) {
+      const auto k = rng.next_bounded(12);
+      const auto v = (static_cast<std::uint64_t>(t) << 32) |
+                     static_cast<std::uint64_t>(i);
+      switch (rng.next_bounded(4)) {
+        case 0: rm.put(t, k, v); break;
+        case 1: rm.insert(t, k, v); break;
+        case 2: rm.remove(t, k); break;
+        default: rm.get(t, k); break;
+      }
+    }
+  });
+  EXPECT_TRUE(
+      h::check_set_history(rec.history(), initial, h::observed_state(s)));
+  EXPECT_TRUE(s.invariants_hold_slow());
 }

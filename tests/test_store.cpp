@@ -350,6 +350,62 @@ TEST(PersistentStore, BasicsSurviveCrashAndRecovery) {
   std::remove(path.c_str());
 }
 
+TEST(PersistentStore, OverwritesSurviveCrashInBothIndexes) {
+  // A PUT of an existing key replaces the secondary's value in place (a
+  // fresh payload swung into the live node, the old one retired). After a
+  // crash, both indexes must hold the last committed value of every key.
+  auto path = temp_region("overwrite");
+  constexpr std::uint64_t kKeys = 24;
+  {
+    medley::montage::PRegion region(path, 2048);
+    TxManager mgr;
+    medley::montage::EpochSys es(&region);
+    es.attach(&mgr);
+    PersistentMedleyStore s(&mgr, &es, /*sid=*/3, {.buckets = 64});
+    for (std::uint64_t k = 0; k < kKeys; k++) {
+      EXPECT_FALSE(s.put(k, k).has_value());
+    }
+    for (std::uint64_t round = 1; round <= 3; round++) {
+      for (std::uint64_t k = 0; k < kKeys; k++) {
+        const std::uint64_t prev = round == 1 ? k : k * 100 + round - 1;
+        EXPECT_EQ(s.put(k, k * 100 + round), std::optional<std::uint64_t>(prev));
+      }
+    }
+    s.multi_put({{1, 7001}, {2, 7002}});
+    s.del(5);
+    EXPECT_TRUE(mutually_consistent(s));
+    es.sync();
+  }  // crash
+  {
+    medley::montage::PRegion region(path, 2048);
+    ASSERT_FALSE(region.fresh());
+    TxManager mgr;
+    medley::montage::EpochSys es(&region);
+    auto recovered = es.recover();
+    es.attach(&mgr);
+    PersistentMedleyStore s(&mgr, &es, /*sid=*/3, {.buckets = 64});
+    s.recover_from(recovered);
+
+    std::map<std::uint64_t, std::uint64_t> want;
+    for (std::uint64_t k = 0; k < kKeys; k++) want[k] = k * 100 + 3;
+    want[1] = 7001;
+    want[2] = 7002;
+    want.erase(5);
+    std::map<std::uint64_t, std::uint64_t> secondary;
+    for (const auto& [k, v] : s.range(0, ~0ULL)) secondary[k] = v;
+    EXPECT_EQ(secondary, want);
+    for (const auto& [k, v] : want) {
+      EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(v)) << k;
+    }
+    EXPECT_TRUE(mutually_consistent(s));
+    // Overwrites keep working on the recovered indexes.
+    EXPECT_EQ(s.put(3, 1), std::optional<std::uint64_t>(303));
+    EXPECT_EQ(s.scan(3, 1)[0].second, 1u);
+    EXPECT_TRUE(mutually_consistent(s));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(PersistentStore, ConcurrentCrashRecoveryKeepsIndexesConsistent) {
   // Threads write key PAIRS (k, k+1000) atomically via multi_put while
   // the epoch advancer runs; the process then "crashes" mid-stream. The

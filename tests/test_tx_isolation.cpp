@@ -53,8 +53,8 @@ struct Bank {
     if (a % 2 == 0) {
       hash.put(a, v);
     } else {
-      // Fraser skiplist has no put; remove+insert inside the transaction
-      // is equivalent and exercises the composition harder.
+      // remove+insert inside the transaction is equivalent to the
+      // skiplist's put and exercises the composition harder.
       skip.remove(a);
       skip.insert(a, v);
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <thread>
 
 #include "montage/txmontage.hpp"
@@ -82,6 +83,31 @@ TEST(TxMontage, AbortLeavesNoPersistentTrace) {
   es.sync();
   EXPECT_FALSE(m.contains(9));
   EXPECT_EQ(es.durable_payload_count(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(TxMontage, SkiplistPutOutsideTransactionLeavesNoPayload) {
+  // The skiplist's put is transactional only. A put refused outside a
+  // transaction must not leave its payload to persist as committed.
+  auto path = temp_region("txm_sl_put");
+  PRegion region(path, 1024);
+  TxManager mgr;
+  EpochSys es(&region);
+  es.attach(&mgr);
+  TxMontageSkiplist m(&mgr, &es, /*sid=*/2);
+
+  EXPECT_THROW(m.put(1, 10), std::logic_error);
+  es.sync();
+  EXPECT_FALSE(m.contains(1));
+  EXPECT_EQ(es.durable_payload_count(), 0u);
+
+  medley::execute_tx(mgr, [&] { EXPECT_FALSE(m.put(1, 10).has_value()); });
+  medley::execute_tx(mgr, [&] {
+    EXPECT_EQ(m.put(1, 11), std::optional<std::uint64_t>(10));
+  });
+  es.sync();
+  EXPECT_EQ(m.get(1), std::optional<std::uint64_t>(11));
+  EXPECT_EQ(es.durable_payload_count(), 1u);
   std::remove(path.c_str());
 }
 
