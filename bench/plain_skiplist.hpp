@@ -31,6 +31,9 @@
 //     only, and the transform's put is transactional-only (its pin and
 //     value CASes are atomic only under MCNS), so a plain value field
 //     stays here;
+//   * no node-handle ops (insert_handle/value_at/put_at/remove_at, nor
+//     key_of/handles_slow): Fig. 10 measures insert/remove/get only, and
+//     the handle ops are the store's transactional path;
 //   * random_level() seeds differ (irrelevant to the measured shape).
 
 #include <atomic>

@@ -59,8 +59,8 @@ namespace medley::core {
 
 /// Hard ceiling on ops combined into one transaction — a combiner batch or
 /// one chunk of BasicMedleyStore::apply_batch. Every batched store
-/// op costs a handful of descriptor write entries (primary put + secondary
-/// put + feed enqueue), so a batch far larger than this would
+/// op costs a handful of descriptor write entries (its hash and skiplist
+/// writes + feed enqueue), so a batch far larger than this would
 /// press against Desc::kWriteCap and Capacity-abort deterministically —
 /// an abort the default policy retries forever (the same spin
 /// kMaxFeedDrainPerTx guards against on the drain side). Desc::kWriteCap

@@ -100,7 +100,14 @@ class WordSet {
     if (n >= Capacity) return nullptr;
     Entry* e = &entries_[n];
     // Invalidate before refilling so a racing stale helper's seqlock fails.
+    // The release fence orders this store before the caller's relaxed
+    // field stores (the seqlock writer's half). It pairs with snapshot()'s
+    // acquire fence: a helper that reads any new field then re-reads a
+    // serial no older than this 0, so its re-check fails instead of
+    // accepting new fields under the old serial. (On x86 the fence only
+    // constrains the compiler.)
     e->serial.store(0, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     return e;
   }
 

@@ -17,6 +17,23 @@
 //   get    : the load of curr->next[0] observing curr unmarked (found), or
 //            of preds[0]->next[0] observing the gap (absent).
 //
+// Node handles. A Handle is a node's address, for a caller that keeps its
+// own index over the list's nodes (BasicMedleyStore's hash primary maps
+// each key to the node holding its value). The handle ops are the
+// operations above minus the search, on a node the caller already holds:
+//   insert_handle : insert, returning the node that now holds the key;
+//   value_at      : get's found path — registers next[0], then loads the
+//                   value (one read entry);
+//   put_at        : put's existing-key path — the pin, then the value CAS
+//                   (lin); two write entries, none on a repeat;
+//   remove_at     : remove's path after the search — demote, then mark
+//                   level 0 (lin).
+// A handle is valid only inside the transaction that obtained it: that
+// transaction's EBR pin keeps the node alive, and its read of the caller's
+// index is what says the node still holds the key. If put_at or remove_at
+// find the node removed (next[0] marked), that read is stale and they
+// abort the transaction with Validation.
+//
 // The value cell. A node's value lives in a CASObj word: V itself when V
 // is word-sized and trivially copyable, else a pointer to an immutable
 // heap box holding V. Same algorithm either way: put makes the new box
@@ -27,14 +44,15 @@
 // next[0] with a same-value CAS. Until commit that holds off a concurrent
 // remove (which must mark next[0]) and insert-after (which must swing it),
 // and the pin's counter bump at commit invalidates every reader that
-// registered the link. So readers (get, range, scan) register only
-// level-0 links — a scan of n entries is n+1 read entries — provided they
-// register next[0] BEFORE they load the value: the value read can then
-// never be older than the counter validation checks.
+// registered the link. So readers (get, value_at, range, scan) register
+// only level-0 links — a scan of n entries is n+1 read entries — provided
+// they register next[0] BEFORE they load the value: the value read can
+// then never be older than the counter validation checks.
 //
-// put is transactional only: it throws std::logic_error when no
-// transaction is open, because its two critical CASes are atomic only
-// under MCNS. Every other operation also runs standalone.
+// put, put_at and remove_at are transactional only: they throw
+// std::logic_error when no transaction is open (put's two critical CASes
+// are atomic only under MCNS; a handle has no meaning outside one). Every
+// other operation also runs standalone.
 //
 // Retirement policy: only the remover retires a node, in its cleanup,
 // after one complete search(k) call has ensured the node is unlinked from
@@ -45,6 +63,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,7 +77,13 @@ namespace medley::ds {
 
 template <typename K, typename V, int kMaxLevel = 20>
 class FraserSkiplist : public core::Composable {
+  struct Node;
+
  public:
+  /// A node's address (see "Node handles" in the header). Opaque: only
+  /// the handle ops dereference it.
+  using Handle = Node*;
+
   explicit FraserSkiplist(core::TxManager* manager)
       : Composable(manager), head_(new Node(K{}, V{}, kMaxLevel)) {}
 
@@ -95,7 +120,12 @@ class FraserSkiplist : public core::Composable {
     return false;
   }
 
-  bool insert(const K& k, const V& v) {
+  bool insert(const K& k, const V& v) { return insert_handle(k, v).second; }
+
+  /// insert() that also returns the node now holding k: the new node
+  /// (inserted = true), or the one already present (false, registered as
+  /// insert's read evidence).
+  std::pair<Handle, bool> insert_handle(const K& k, const V& v) {
     OpStarter op(mgr);
     Pos pos;
     Node* node = nullptr;
@@ -103,22 +133,29 @@ class FraserSkiplist : public core::Composable {
       if (find(pos, k)) {
         if (node != nullptr) tDelete(node);
         addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
-        return false;
+        return {pos.succs[0], false};
       }
-      if (link_new(pos, node, k, v)) return true;
+      if (link_new(pos, node, k, v)) return {node, true};
     }
   }
 
+  /// The value `h`'s node holds: get() without the search.
+  V value_at(Handle h) {
+    OpStarter op(mgr);
+    addToReadSet(&h->next[0], h->next[0].nbtcLoad());  // before the value
+    return value_of(h->val.nbtcLoad());
+  }
+
+  /// The key `h`'s node holds (immutable for the node's life).
+  static const K& key_of(Handle h) { return h->key; }
+
   /// Insert-or-replace; returns the previous value if any. Transactional
   /// only (see the header): throws std::logic_error outside a transaction.
-  /// An existing key costs one search and no node allocation: pin the
-  /// node's next[0], then swing its value cell.
+  /// An existing key costs one search and no node allocation: put_at on
+  /// the node found.
   std::optional<V> put(const K& k, const V& v) {
     OpStarter op(mgr);
-    if (op.ctx == nullptr) {
-      throw std::logic_error(
-          "FraserSkiplist::put needs an open transaction");
-    }
+    require_tx(op, "put");
     Pos pos;
     Node* node = nullptr;
     for (;;) {
@@ -126,24 +163,21 @@ class FraserSkiplist : public core::Composable {
         if (link_new(pos, node, k, v)) return std::nullopt;
         continue;
       }
-      Node* curr = pos.succs[0];
-      if (!curr->next[0].nbtcCAS(pos.succ0_next, pos.succ0_next,
-                                 /*lin=*/false, /*pub=*/true)) {
-        continue;  // removed or insert-after since the search: re-search
+      if (std::optional<V> old = replace_value(pos.succs[0], v)) {
+        if (node != nullptr) tDelete(node);
+        return old;
       }
-      const Word old = curr->val.nbtcLoad();
-      // Every writer of the cell pins next[0] first, and the pin is ours
-      // until commit: this CAS fails only if a peer already aborted us,
-      // and the re-search then throws.
-      if (!curr->val.nbtcCAS(old, make_word(v), /*lin=*/true,
-                             /*pub=*/false)) {
-        continue;
-      }
-      if (node != nullptr) tDelete(node);
-      std::optional<V> res = value_of(old);
-      if constexpr (kBoxed) tRetire(old);
-      return res;
+      // Removed since the search: re-search.
     }
+  }
+
+  /// Replace the value of `h`'s node in place; returns the value replaced.
+  /// Transactional only. A removed node aborts with Validation.
+  V put_at(Handle h, const V& v) {
+    OpStarter op(mgr);
+    require_tx(op, "put_at");
+    if (std::optional<V> old = replace_value(h, v)) return *std::move(old);
+    abortTx(core::AbortReason::Validation);  // the caller's index is stale
   }
 
   std::optional<V> remove(const K& k) {
@@ -154,32 +188,18 @@ class FraserSkiplist : public core::Composable {
         addToReadSet(&pos.preds[0]->next[0], pos.succs[0]);
         return std::nullopt;
       }
-      Node* victim = pos.succs[0];
-      // Demote: mark every upper level, top down (benign helping CASes).
-      for (int lvl = victim->level - 1; lvl >= 1; lvl--) {
-        Node* nx = victim->next[lvl].nbtcLoad();
-        while (!is_marked(nx)) {
-          victim->next[lvl].nbtcCAS(nx, mark(nx), false, false);
-          nx = victim->next[lvl].nbtcLoad();
-        }
-      }
-      // Linearize: mark level 0.
-      Node* nx0 = victim->next[0].nbtcLoad();
-      while (!is_marked(nx0)) {
-        if (victim->next[0].nbtcCAS(nx0, mark(nx0), /*lin=*/true,
-                                    /*pub=*/true)) {
-          V res = value_of(victim->val.nbtcLoad());
-          addToCleanups([this, victim, k] {
-            Pos p;
-            find(p, k);  // one full search unlinks victim everywhere
-            tRetire(victim);
-          });
-          return res;
-        }
-        nx0 = victim->next[0].nbtcLoad();
-      }
+      if (std::optional<V> old = mark_removed(pos.succs[0])) return old;
       // Lost the race to another remover: re-evaluate from scratch.
     }
+  }
+
+  /// Remove `h`'s node; returns its value. Transactional only. A node
+  /// already removed aborts with Validation.
+  V remove_at(Handle h) {
+    OpStarter op(mgr);
+    require_tx(op, "remove_at");
+    if (std::optional<V> old = mark_removed(h)) return *std::move(old);
+    abortTx(core::AbortReason::Validation);  // the caller's index is stale
   }
 
   /// Ordered range query: all live entries with lo <= key <= hi, ascending.
@@ -218,6 +238,18 @@ class FraserSkiplist : public core::Composable {
     for (Node* cur = unmark(head_->next[0].load()); cur != nullptr;
          cur = unmark(cur->next[0].load())) {
       if (!is_marked(cur->next[0].load())) out.push_back(cur->key);
+    }
+    return out;
+  }
+
+  /// Every live node's key and handle, ascending (quiescent: rebuilding a
+  /// handle index at recovery, and auditing one in tests).
+  std::vector<std::pair<K, Handle>> handles_slow() {
+    OpStarter op(mgr);
+    std::vector<std::pair<K, Handle>> out;
+    for (Node* cur = unmark(head_->next[0].load()); cur != nullptr;
+         cur = unmark(cur->next[0].load())) {
+      if (!is_marked(cur->next[0].load())) out.emplace_back(cur->key, cur);
     }
     return out;
   }
@@ -270,6 +302,13 @@ class FraserSkiplist : public core::Composable {
       return tNew<V>(v);
     } else {
       return v;
+    }
+  }
+
+  static void require_tx(const OpStarter& op, const char* what) {
+    if (op.ctx == nullptr) {
+      throw std::logic_error(std::string("FraserSkiplist::") + what +
+                             " needs an open transaction");
     }
   }
 
@@ -422,10 +461,64 @@ class FraserSkiplist : public core::Composable {
     }
   }
 
-  /// insert's and put's new-key path: link `node` (allocated on the first
-  /// attempt, reused by retries) at level 0 between the searched
-  /// neighbours. True iff that linearizing CAS landed; the upper levels
-  /// are then a cleanup.
+  /// put's and put_at's body: pin `node`'s next[0] with a same-value
+  /// critical CAS (pub), then swing its value cell (lin). Returns the value
+  /// replaced, or nullopt if the node is removed (next[0] marked).
+  std::optional<V> replace_value(Node* node, const V& v) {
+    for (;;) {
+      Node* nx = node->next[0].nbtcLoad();
+      if (is_marked(nx)) return std::nullopt;
+      if (!node->next[0].nbtcCAS(nx, nx, /*lin=*/false, /*pub=*/true)) {
+        continue;  // an insert-after or a helping unlink moved it: reload
+      }
+      const Word old = node->val.nbtcLoad();
+      // Every writer of the cell pins next[0] first, and the pin is ours
+      // until commit: this CAS fails only if a peer already aborted us,
+      // and the reload then throws.
+      if (!node->val.nbtcCAS(old, make_word(v), /*lin=*/true,
+                             /*pub=*/false)) {
+        continue;
+      }
+      std::optional<V> res = value_of(old);
+      if constexpr (kBoxed) tRetire(old);
+      return res;
+    }
+  }
+
+  /// remove's and remove_at's body: demote `victim` (mark every upper
+  /// level, top down — benign helping CASes), then mark level 0 (lin =
+  /// pub). Returns the removed value, or nullopt if another remover marked
+  /// level 0 first. The cleanup's one full search unlinks the node at
+  /// every level before it is retired.
+  std::optional<V> mark_removed(Node* victim) {
+    for (int lvl = victim->level - 1; lvl >= 1; lvl--) {
+      Node* nx = victim->next[lvl].nbtcLoad();
+      while (!is_marked(nx)) {
+        victim->next[lvl].nbtcCAS(nx, mark(nx), false, false);
+        nx = victim->next[lvl].nbtcLoad();
+      }
+    }
+    Node* nx0 = victim->next[0].nbtcLoad();
+    while (!is_marked(nx0)) {
+      if (victim->next[0].nbtcCAS(nx0, mark(nx0), /*lin=*/true,
+                                  /*pub=*/true)) {
+        V res = value_of(victim->val.nbtcLoad());
+        addToCleanups([this, victim] {
+          Pos p;
+          find(p, victim->key);
+          tRetire(victim);
+        });
+        return res;
+      }
+      nx0 = victim->next[0].nbtcLoad();
+    }
+    return std::nullopt;
+  }
+
+  /// insert_handle's and put's new-key path: link `node` (allocated on
+  /// the first attempt, reused by retries) at level 0 between the
+  /// searched neighbours. True iff that linearizing CAS landed; the upper
+  /// levels are then a cleanup.
   bool link_new(Pos& pos, Node*& node, const K& k, const V& v) {
     if (node == nullptr) node = tNew<Node>(k, v, random_level());
     for (int i = 0; i < node->level; i++) node->next[i].store(pos.succs[i]);

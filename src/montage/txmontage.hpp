@@ -72,18 +72,14 @@ class TxMontageMap {
       throw;
     }
     if (!old) return std::nullopt;
-    const std::uint64_t old_val = (*old)->val;
-    es_->retire_payload(*old);
-    return old_val;
+    return release(*old);
   }
 
   std::optional<std::uint64_t> remove(std::uint64_t k) {
     EpochSys::OpGuard g(es_);
     auto old = index_.remove(k);
     if (!old) return std::nullopt;
-    const std::uint64_t old_val = (*old)->val;
-    es_->retire_payload(*old);
-    return old_val;
+    return release(*old);
   }
 
   /// Ordered queries — only instantiable when Index is an ordered map
@@ -115,7 +111,7 @@ class TxMontageMap {
 
   Index& index() { return index_; }
 
- private:
+ protected:
   static std::vector<std::pair<std::uint64_t, std::uint64_t>> resolve(
       const std::vector<std::pair<std::uint64_t, PBlk*>>& raw) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -138,6 +134,13 @@ class TxMontageMap {
     return payload;
   }
 
+  /// A payload the index no longer holds: its value, and its retirement.
+  std::uint64_t release(PBlk* old) {
+    const std::uint64_t val = old->val;
+    es_->retire_payload(old);
+    return val;
+  }
+
   EpochSys* es_;
   std::uint64_t sid_;
   Index index_;
@@ -145,7 +148,51 @@ class TxMontageMap {
 
 using TxMontageHashTable =
     TxMontageMap<ds::MichaelHashTable<std::uint64_t, PBlk*>>;
-using TxMontageSkiplist =
-    TxMontageMap<ds::FraserSkiplist<std::uint64_t, PBlk*>>;
+
+/// The skiplist-indexed map, plus the skiplist's node-handle ops
+/// (ds/fraser_skiplist.hpp): PersistentMedleyStore's DRAM hash primary
+/// maps each key to the node holding that key's payload. The handle ops
+/// allocate, cancel and retire payloads the way insert/put/remove do.
+class TxMontageSkiplist
+    : public TxMontageMap<ds::FraserSkiplist<std::uint64_t, PBlk*>> {
+ public:
+  using TxMontageMap::TxMontageMap;
+  using Handle = ds::FraserSkiplist<std::uint64_t, PBlk*>::Handle;
+
+  std::pair<Handle, bool> insert_handle(std::uint64_t k, std::uint64_t v) {
+    EpochSys::OpGuard g(es_);
+    PBlk* payload = alloc(k, v);
+    const auto res = index_.insert_handle(k, payload);
+    if (!res.second) es_->cancel_payload(payload);
+    return res;
+  }
+
+  std::uint64_t value_at(Handle h) {
+    EpochSys::OpGuard g(es_);
+    return index_.value_at(h)->val;
+  }
+
+  std::uint64_t put_at(Handle h, std::uint64_t v) {
+    EpochSys::OpGuard g(es_);
+    PBlk* payload = alloc(index_.key_of(h), v);
+    PBlk* old;
+    try {
+      old = index_.put_at(h, payload);
+    } catch (const std::logic_error&) {
+      es_->cancel_payload(payload);  // refused outside a transaction, as put
+      throw;
+    }
+    return release(old);
+  }
+
+  std::uint64_t remove_at(Handle h) {
+    EpochSys::OpGuard g(es_);
+    return release(index_.remove_at(h));
+  }
+
+  std::vector<std::pair<std::uint64_t, Handle>> handles_slow() {
+    return index_.handles_slow();
+  }
+};
 
 }  // namespace medley::montage

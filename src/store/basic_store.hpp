@@ -3,26 +3,36 @@
 // layer"). Three nonblocking structures share one TxManager and every
 // public operation is ONE Medley transaction composing them:
 //
-//   primary    — hash map, the authoritative key -> value mapping;
-//   secondary  — ordered map over the SAME entries (range / scan);
+//   primary    — hash map from each key to the secondary's node for it
+//                (a Handle), never to a copy of the value;
+//   secondary  — ordered map, the one place each value lives (get reads
+//                it through the primary's handle; range / scan walk it);
 //   change feed — MSQueue of committed mutations, in serialization order.
 //
-// Because the three writes of a mutation (primary update, secondary
-// update, feed append) linearize atomically at MCNS commit, the indexes
-// can never be observed out of sync by a committed transaction and the
-// feed never shows a mutation that did not happen — without a single lock
-// anywhere (paper Layer 2; PAPER.md "Layer 4 — serving").
+// One record per key: a PUT of an existing key is one hash lookup and two
+// critical CASes on the node its handle names (no skiplist search, no
+// node allocated or retired); a new key inserts into the secondary and
+// maps its handle in the primary; a DEL removes both. Because the writes
+// of a mutation (primary update, secondary update, feed append) linearize
+// atomically at MCNS commit, the indexes can never be observed out of
+// sync by a committed transaction and the feed never shows a mutation
+// that did not happen — without a single lock anywhere (paper Layer 2;
+// PAPER.md "Layer 4 — serving").
 //
-// The façade is parameterized over the structure types so the same
-// choreography serves the DRAM store (MedleyStore: MichaelHashTable +
-// FraserSkiplist) and the persistent one (PersistentMedleyStore: the
-// txMontage maps), which only swap the index implementations.
+// The façade is parameterized over the secondary so the same choreography
+// serves the DRAM store (MedleyStore: FraserSkiplist) and the persistent
+// one (PersistentMedleyStore: TxMontageSkiplist, whose nodes hold
+// persistent payloads). The primary is always the store's own DRAM
+// MichaelHashTable<K, Secondary::Handle>.
 //
-// Interface contract:
-//   Primary:   get/put/remove (put returns the previous value);
-//   Secondary: put/remove/range/scan. A store PUT is one secondary put:
-//              an existing key's value is replaced in place (one search,
-//              no node allocated or retired), a new key is inserted.
+// Interface contract (Secondary, see ds/fraser_skiplist.hpp):
+//   Handle, and the handle ops insert_handle / value_at / put_at /
+//   remove_at — a handle is valid only inside the transaction whose
+//   primary read produced it;
+//   range / scan; handles_slow (quiescent; recovery and audits).
+//   A store GET is 2 read entries (the hash link and the node's next[0]);
+//   an existing-key PUT is 1 read entry and 2 write entries, plus the
+//   feed's.
 //
 // Nesting: a store operation called while the thread is already inside a
 // transaction of the same manager flat-nests into it (its effects commit
@@ -48,6 +58,7 @@
 
 #include "core/combiner.hpp"
 #include "core/medley.hpp"
+#include "ds/michael_hashtable.hpp"
 #include "ds/ms_queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -205,18 +216,20 @@ inline StoreConfig validated(StoreConfig cfg) {
   return cfg;
 }
 
-template <typename K, typename V, typename Primary, typename Secondary>
+template <typename K, typename V, typename Secondary>
 class BasicMedleyStore : public core::Composable {
  public:
   using FeedItem = FeedEntry<K, V>;
+  using Primary = ds::MichaelHashTable<K, typename Secondary::Handle>;
 
-  /// The store borrows the indexes (owned by the concrete subclass, which
-  /// knows how to build them) and owns the feed queue. Composable gives
-  /// it addToCleanups for commit-exact feed accounting.
-  BasicMedleyStore(core::TxManager* mgr, Primary* primary,
-                   Secondary* secondary, const StoreConfig& cfg)
+  /// The store owns the primary and the feed queue, and borrows the
+  /// secondary (owned by the concrete subclass, which knows how to build
+  /// it). Composable gives it addToCleanups for commit-exact feed
+  /// accounting.
+  BasicMedleyStore(core::TxManager* mgr, Secondary* secondary,
+                   const StoreConfig& cfg)
       : Composable(mgr),
-        primary_(primary),
+        primary_(mgr, cfg.buckets),
         secondary_(secondary),
         cfg_(validated(cfg)),
         exec_(cfg.tx_policy),
@@ -257,7 +270,7 @@ class BasicMedleyStore : public core::Composable {
 
   std::optional<V> get(const K& k) {
     std::optional<V> res;
-    exec_ro(kOpGet, [&] { res = primary_->get(k); });
+    exec_ro(kOpGet, [&] { res = get_in_tx(k); });
     return res;
   }
 
@@ -266,7 +279,7 @@ class BasicMedleyStore : public core::Composable {
   /// link, so a contains over a large value type copies nothing.
   bool contains(const K& k) {
     bool res = false;
-    exec_ro(kOpContains, [&] { res = primary_->contains(k); });
+    exec_ro(kOpContains, [&] { res = primary_.contains(k); });
     return res;
   }
 
@@ -423,7 +436,7 @@ class BasicMedleyStore : public core::Composable {
   std::uint64_t feed_depth() const { return stats_.feed_depth(); }
   const StoreConfig& config() const { return cfg_; }
   core::TxManager* manager() { return mgr; }
-  Primary& primary() { return *primary_; }
+  Primary& primary() { return primary_; }
   Secondary& secondary() { return *secondary_; }
 
   /// Prometheus text exposition of every metric this store registered
@@ -553,7 +566,7 @@ class BasicMedleyStore : public core::Composable {
       case Mutation::kRmw:
         break;
     }
-    std::optional<V> cur = primary_->get(m.key);
+    std::optional<V> cur = get_in_tx(m.key);
     std::optional<V> desired;
     try {
       desired = m.fn(m.ctx, cur);
@@ -643,22 +656,36 @@ class BasicMedleyStore : public core::Composable {
     }
   }
 
+  /// A key's value: the primary's handle, then the node's value cell.
+  std::optional<V> get_in_tx(const K& k) {
+    const auto h = primary_.get(k);
+    if (!h) return std::nullopt;
+    return secondary_->value_at(*h);
+  }
+
   std::optional<V> put_in_tx(const K& k, const V& v) {
-    std::optional<V> old = primary_->put(k, v);
-    secondary_->put(k, v);
+    std::optional<V> old;
+    if (const auto h = primary_.get(k)) {
+      old = secondary_->put_at(*h, v);
+    } else {
+      // The secondary holds k here only if a PUT of k committed after our
+      // primary read; insert_handle then returns that node, and the
+      // primary read's validation dooms this transaction at commit.
+      primary_.insert(k, secondary_->insert_handle(k, v).first);
+      // Key-count accounting rides the cleanup list like the feed
+      // counters: counted once iff the mutation actually commits, so
+      // key_count() is the exact live-key total between quiescent points
+      // (the sharded stores' partition-imbalance observable).
+      addToCleanups([this] { stats_.note_key_insert(1); });
+    }
     feed_append(FeedItem{FeedOp::Put, k, v});
-    // Key-count accounting rides the cleanup list like the feed counters:
-    // counted once iff the mutation actually commits, so key_count() is
-    // the exact live-key total between quiescent points (the sharded
-    // stores' partition-imbalance observable).
-    if (!old) addToCleanups([this] { stats_.note_key_insert(1); });
     return old;
   }
 
   std::optional<V> del_in_tx(const K& k) {
-    std::optional<V> old = primary_->remove(k);
-    if (!old) return std::nullopt;  // read-only outcome, still validated
-    secondary_->remove(k);
+    const auto h = primary_.remove(k);
+    if (!h) return std::nullopt;  // read-only outcome, still validated
+    std::optional<V> old = secondary_->remove_at(*h);
     feed_append(FeedItem{FeedOp::Del, k, V{}});
     addToCleanups([this] { stats_.note_key_remove(1); });
     return old;
@@ -760,7 +787,7 @@ class BasicMedleyStore : public core::Composable {
                         });
   }
 
-  Primary* primary_;
+  Primary primary_;
   Secondary* secondary_;
   StoreConfig cfg_;
   TxExecutor exec_;

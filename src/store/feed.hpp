@@ -3,9 +3,9 @@
 // shipping). Every committed mutating transaction of the store enqueues
 // exactly one FeedEntry onto an MSQueue *inside the same transaction*, so
 // the queue's FIFO order IS the store's serialization order: draining the
-// feed and replaying it over an empty map reproduces the primary index
-// exactly (tests/test_store.cpp checks this). A transaction that aborts
-// enqueues nothing — the feed never shows phantom mutations.
+// feed and replaying it over an empty map reproduces the store's key ->
+// value mapping exactly (tests/test_store.cpp checks this). A transaction
+// that aborts enqueues nothing — the feed never shows phantom mutations.
 //
 // Consumers drain with poll_feed(max_entries), which returns "up to"
 // max_entries: one transaction's drain is clamped to

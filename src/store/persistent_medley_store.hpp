@@ -1,16 +1,17 @@
 #pragma once
 // PersistentMedleyStore: the BasicMedleyStore façade over the txMontage
-// persistent maps — hash primary under sid, skiplist secondary under
-// sid+1, both allocating payloads from the same EpochSys/PRegion.
+// skiplist — the one index with persistent payloads (one 64-byte PBlk per
+// mapping, tagged sid+1). The hash primary maps each key to the skiplist
+// node holding its payload; it lives in DRAM only and is rebuilt from the
+// recovered skiplist.
 //
-// Failure atomicity across the two indexes comes for free from the epoch
-// system: a committed store transaction tags the primary's and the
-// secondary's payloads with the SAME epoch (MCNS folds the epoch cell
+// Failure atomicity comes from the epoch system: a committed store
+// transaction tags its payloads with ONE epoch (MCNS folds the epoch cell
 // into the read set, so the transaction cannot straddle an advance), and
-// recovery keeps or discards whole epochs. Hence the recovered primary
-// and secondary are always mutually consistent — recover() rebuilds both
-// indexes from their own payloads and the invariants re-check
-// (tests/test_store.cpp).
+// recovery keeps or discards whole epochs. recover_from() rebuilds the
+// skiplist from the surviving payloads, then the primary by walking the
+// skiplist, so the two indexes agree by construction and the invariants
+// re-check (tests/test_store.cpp).
 //
 // The change feed is deliberately transient (DRAM MSQueue): it is a
 // live-replication tap, not a WAL. After a crash its undelivered suffix
@@ -20,7 +21,7 @@
 // use).
 //
 // Keys and values are uint64_t — the payload shape of the persistent
-// region (one 64-byte PBlk per mapping entry per index).
+// region.
 
 #include <vector>
 
@@ -31,35 +32,34 @@ namespace medley::store {
 
 class PersistentMedleyStore
     : public BasicMedleyStore<std::uint64_t, std::uint64_t,
-                              montage::TxMontageHashTable,
                               montage::TxMontageSkiplist> {
   using Base = BasicMedleyStore<std::uint64_t, std::uint64_t,
-                                montage::TxMontageHashTable,
                                 montage::TxMontageSkiplist>;
 
  public:
-  /// `sid` tags the primary's payloads; sid+1 the secondary's. Reuse the
-  /// same pair across restarts of the same store.
+  /// The skiplist's payloads are tagged sid+1 (sid itself is no longer
+  /// written). Reuse the same sid across restarts of the same store.
   PersistentMedleyStore(core::TxManager* mgr, montage::EpochSys* es,
                         std::uint64_t sid, StoreConfig cfg = {})
-      : Base(mgr, &owned_primary_, &owned_secondary_, cfg),
+      : Base(mgr, &owned_secondary_, cfg),
         sid_(sid),
-        owned_primary_(mgr, es, sid, cfg.buckets),
         owned_secondary_(mgr, es, sid + 1) {}
 
   std::uint64_t sid() const { return sid_; }
 
-  /// Rebuild both indexes from the survivors of EpochSys::recover().
-  /// Call once, before any operations, on a freshly constructed store.
+  /// Rebuild the skiplist from the survivors of EpochSys::recover(), then
+  /// the primary from the skiplist. Call once, before any operations, on a
+  /// freshly constructed store.
   void recover_from(
       const std::vector<montage::EpochSys::Recovered>& payloads) {
-    owned_primary_.recover_from(payloads);
     owned_secondary_.recover_from(payloads);
+    for (const auto& [k, h] : owned_secondary_.handles_slow()) {
+      primary_.insert(k, h);
+    }
   }
 
  private:
   std::uint64_t sid_;
-  montage::TxMontageHashTable owned_primary_;
   montage::TxMontageSkiplist owned_secondary_;
 };
 

@@ -54,6 +54,7 @@ using Op = Store::Op;
 using Mutation = Store::Mutation;
 
 namespace h = medley::test::harness;
+using medley::test::primary_maps_live_nodes;
 
 namespace {
 
@@ -109,30 +110,6 @@ struct PinnedConflict {
     });
   }
 };
-
-/// I1 checked quiescently (the test_store helper, local to each TU).
-template <typename S>
-::testing::AssertionResult mutually_consistent(S& store) {
-  auto snapshot = store.range(0, ~0ULL);
-  for (const auto& [k, v] : snapshot) {
-    auto p = store.get(k);
-    if (!p) {
-      return ::testing::AssertionFailure()
-             << "key " << k << " in secondary but not primary";
-    }
-    if (*p != v) {
-      return ::testing::AssertionFailure()
-             << "key " << k << ": primary=" << *p << " secondary=" << v;
-    }
-  }
-  const std::size_t psize = store.primary().size_slow();
-  if (psize != snapshot.size()) {
-    return ::testing::AssertionFailure()
-           << "primary holds " << psize << " keys, secondary "
-           << snapshot.size();
-  }
-  return ::testing::AssertionSuccess();
-}
 
 }  // namespace
 
@@ -247,7 +224,7 @@ TEST(Combining, SingleThreadSemanticsMatchOracle) {
   for (const auto& [k, v] : oracle) {
     EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(v));
   }
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
   // C4: the batch-size histogram is part of the exposition.
   const std::string prom = s.dump_metrics();
   EXPECT_NE(prom.find("medley_store_combined_batch"), std::string::npos);
@@ -279,7 +256,7 @@ TEST(Combining, RmwCallbackExceptionFailsOnlyItsOp) {
   // The same callback through the combiner: rethrown to its caller.
   EXPECT_THROW(s.read_modify_write(5, boom), std::runtime_error);
   EXPECT_EQ(s.get(5), std::optional<std::uint64_t>(50));
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 // ---- C1/C3: batch atomicity under a pinned conflict -----------------------
@@ -311,7 +288,7 @@ TEST(Combining, ConflictMidBatchRetriesWholeBatch) {
   ASSERT_EQ(feed.size(), 2u);
   EXPECT_EQ(feed[0].val, 100u);
   EXPECT_EQ(feed[1].val, 101u);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 TEST(Combining, BoundedPolicyAbortsWholeBatchAllOrNothing) {
@@ -344,7 +321,7 @@ TEST(Combining, BoundedPolicyAbortsWholeBatchAllOrNothing) {
   ASSERT_EQ(feed.size(), 1u);
   EXPECT_EQ(feed[0].val, 100u);
   EXPECT_EQ(s.combined_batches(), 0u) << "a failed group is no group commit";
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 // ---- C2: handoff ----------------------------------------------------------
@@ -431,7 +408,7 @@ TEST(Combining, HandoffUnderChurn) {
     if (e.kind == medley::obs::TraceEvent::kCombineBatch) saw_batch = true;
   }
   EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 // ---- C3: the store invariants at 8 threads with combining on --------------
@@ -497,7 +474,7 @@ TEST(Combining, MixedWorkloadMutualConsistency8Threads) {
   });
 
   EXPECT_FALSE(torn.load()) << "a committed snapshot saw torn indexes";
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 
   // I2 at scale: polled prefix + final drain replays to the primary.
   for (;;) {
@@ -606,7 +583,7 @@ TEST(ApplyBatch, PutDelResultsMatchMapOracle) {
   TxManager mgr;
   Store plain(&mgr, StoreConfig{});
   apply_batch_matches_oracle(plain, 11);
-  EXPECT_TRUE(mutually_consistent(plain));
+  EXPECT_TRUE(primary_maps_live_nodes(plain));
 
   Sharded sharded(3, StoreConfig{});  // runs split across shards
   apply_batch_matches_oracle(sharded, 12);
@@ -678,7 +655,7 @@ TEST(ApplyBatch, PinnedConflictFailsExactlyOneChunk) {
   EXPECT_EQ(s.combined_batches(), 2u);
   EXPECT_EQ(s.combined_ops(), kChunk + 8);
   EXPECT_EQ(s.stats().feed_pushed, kChunk + 8 + 1);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 TEST(ApplyBatch, FlatNestsIntoAnAmbientTransaction) {

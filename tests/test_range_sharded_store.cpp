@@ -48,29 +48,20 @@ Store make4(medley::store::StoreConfig cfg = {.buckets = 256}) {
 }
 
 /// R1 + basic_store I1 per shard, checked quiescently: every key lives on
-/// the one shard its range owns, primary == secondary.
+/// the one shard its range owns, and the shard's primary maps it to its
+/// live secondary node.
 ::testing::AssertionResult shards_mutually_consistent(Store& s) {
   for (std::size_t i = 0; i < s.shard_count(); i++) {
     auto& shard = s.shard(i);
-    auto snapshot = shard.range(0, ~0ULL);
-    for (const auto& [k, v] : snapshot) {
+    for (const auto& [k, node] : shard.secondary().handles_slow()) {
       if (s.shard_of(k) != i) {
         return ::testing::AssertionFailure()
                << "key " << k << " stored on shard " << i
                << " but its range is shard " << s.shard_of(k);
       }
-      auto p = shard.get(k);
-      if (!p || *p != v) {
-        return ::testing::AssertionFailure()
-               << "shard " << i << " key " << k
-               << ": primary/secondary split";
-      }
     }
-    if (shard.primary().size_slow() != snapshot.size()) {
-      return ::testing::AssertionFailure()
-             << "shard " << i << ": primary holds "
-             << shard.primary().size_slow() << " keys, secondary "
-             << snapshot.size();
+    if (auto r = medley::test::primary_maps_live_nodes(shard); !r) {
+      return r << " (shard " << i << ")";
     }
   }
   return ::testing::AssertionSuccess();

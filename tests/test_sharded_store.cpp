@@ -40,25 +40,15 @@ namespace {
 ::testing::AssertionResult shards_mutually_consistent(Store& s) {
   for (std::size_t i = 0; i < s.shard_count(); i++) {
     auto& shard = s.shard(i);
-    auto snapshot = shard.range(0, ~0ULL);
-    for (const auto& [k, v] : snapshot) {
+    for (const auto& [k, node] : shard.secondary().handles_slow()) {
       if (s.shard_of(k) != i) {
         return ::testing::AssertionFailure()
                << "key " << k << " stored on shard " << i
                << " but hashes to " << s.shard_of(k);
       }
-      auto p = shard.get(k);
-      if (!p || *p != v) {
-        return ::testing::AssertionFailure()
-               << "shard " << i << " key " << k
-               << ": primary/secondary split";
-      }
     }
-    if (shard.primary().size_slow() != snapshot.size()) {
-      return ::testing::AssertionFailure()
-             << "shard " << i << ": primary holds "
-             << shard.primary().size_slow() << " keys, secondary "
-             << snapshot.size();
+    if (auto r = medley::test::primary_maps_live_nodes(shard); !r) {
+      return r << " (shard " << i << ")";
     }
   }
   return ::testing::AssertionSuccess();

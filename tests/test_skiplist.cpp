@@ -654,3 +654,162 @@ TEST(SkiplistPutOracle, PutRacingInsertRemoveSatisfiesSetInvariants) {
       h::check_set_history(rec.history(), initial, h::observed_state(s)));
   EXPECT_TRUE(s.invariants_hold_slow());
 }
+
+// ---------------------------------------------------------------------
+// Node handles: the handle ops act on a node the caller already holds,
+// as BasicMedleyStore's hash primary hands them to its secondary.
+
+TEST(SkiplistHandle, MatchesMapOracle) {
+  // A caller-side index (key -> handle) driven like the store's primary:
+  // insert_handle for absent keys, and value_at / put_at / remove_at on
+  // the handle the index holds. Writes run as transactions of their own.
+  TxManager mgr;
+  SL s(&mgr);
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  std::map<std::uint64_t, SL::Handle> index;
+  medley::util::Xoshiro256 rng(1801);
+  for (int i = 0; i < 3000; i++) {
+    const auto k = rng.next_bounded(48);
+    const auto v = rng.next();
+    const auto it = index.find(k);
+    if (it == index.end()) {
+      std::pair<SL::Handle, bool> res;
+      medley::execute_tx(mgr, [&] { res = s.insert_handle(k, v); });
+      ASSERT_TRUE(res.second) << "insert_handle " << k;
+      EXPECT_EQ(SL::key_of(res.first), k);
+      index[k] = res.first;
+      oracle[k] = v;
+    } else {
+      const SL::Handle h = it->second;
+      switch (rng.next_bounded(4)) {
+        case 0: {  // a present key hands back the node already holding it
+          const auto res = s.insert_handle(k, v);
+          ASSERT_FALSE(res.second) << "insert_handle " << k;
+          ASSERT_EQ(res.first, h);
+          break;
+        }
+        case 1:
+          ASSERT_EQ(s.value_at(h), oracle[k]) << "value_at " << k;
+          break;
+        case 2:
+          medley::execute_tx(mgr,
+                             [&] { ASSERT_EQ(s.put_at(h, v), oracle[k]); });
+          oracle[k] = v;
+          break;
+        default:
+          medley::execute_tx(mgr,
+                             [&] { ASSERT_EQ(s.remove_at(h), oracle[k]); });
+          oracle.erase(k);
+          index.erase(k);
+          break;
+      }
+    }
+    const auto now = oracle.find(k);
+    ASSERT_EQ(s.get(k), now == oracle.end() ? Opt() : Opt(now->second));
+    if (i % 50 == 0) {
+      const std::vector<std::pair<std::uint64_t, std::uint64_t>> all(
+          oracle.begin(), oracle.end());
+      ASSERT_EQ(s.range(0, 48), all);
+      const std::vector<std::pair<std::uint64_t, SL::Handle>> nodes(
+          index.begin(), index.end());
+      ASSERT_EQ(s.handles_slow(), nodes);
+      ASSERT_TRUE(s.invariants_hold_slow());
+    }
+  }
+  EXPECT_EQ(s.size_slow(), oracle.size());
+}
+
+TEST(SkiplistHandle, WritesOutsideATransactionThrow) {
+  TxManager mgr;
+  SL s(&mgr);
+  const SL::Handle h = s.insert_handle(1, 10).first;
+  EXPECT_THROW(s.put_at(h, 11), std::logic_error);
+  EXPECT_THROW(s.remove_at(h), std::logic_error);
+  EXPECT_EQ(s.value_at(h), 10u);
+  EXPECT_EQ(s.get(1), Opt(10));
+}
+
+namespace {
+
+/// Runs `stale_op` on a handle to key 7's node after a peer's removal of
+/// key 7 committed, inside a transaction that obtained the handle first.
+/// The first attempt must abort with Validation; the retry, which reads
+/// the key again, must see it absent.
+template <typename StaleOp>
+void expect_stale_handle_aborts(StaleOp&& stale_op) {
+  TxManager mgr;
+  SL s(&mgr);
+  for (std::uint64_t k = 1; k <= 16; k++) s.insert(k, k);
+  int attempts = 0;
+  Opt seen = 7;
+  TxExecutor ex;
+  auto res = ex.execute(mgr, [&] {
+    if (++attempts == 1) {
+      // The node holding 7, as an index read would hand it over; this
+      // transaction's EBR pin keeps it alive past the peer's removal.
+      const SL::Handle h = s.insert_handle(7, 0).first;
+      std::thread([&] { EXPECT_EQ(s.remove(7), Opt(7)); }).join();
+      stale_op(s, h);
+      ADD_FAILURE() << "an op on a removed node returned";
+    }
+    seen = s.get(7);
+  });
+  EXPECT_TRUE(res.committed());
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(res.stats.validation_aborts, 1u);
+  EXPECT_EQ(res.stats.conflict_aborts, 0u);
+  EXPECT_FALSE(seen.has_value());
+  EXPECT_EQ(s.range(0, 100).size(), 15u);
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+}  // namespace
+
+TEST(SkiplistHandle, StalePutAtAbortsWithValidation) {
+  expect_stale_handle_aborts([](SL& s, SL::Handle h) { s.put_at(h, 70); });
+}
+
+TEST(SkiplistHandle, StaleRemoveAtAbortsWithValidation) {
+  expect_stale_handle_aborts([](SL& s, SL::Handle h) { s.remove_at(h); });
+}
+
+TEST(SkiplistHandle, FootprintsExact) {
+  // value_at is get's found path without the search: one read entry, the
+  // node's next[0]. put_at is put's existing-key path: the pin and the
+  // value CAS, two write entries, updated in place by a repeat. insert of
+  // a new key and remove_at each write their one level-0 link.
+  TxManager mgr;
+  SL s(&mgr);
+  for (std::uint64_t k = 1; k <= 64; k++) s.insert(k, k);
+  std::map<std::uint64_t, SL::Handle> index;
+  for (const auto& [k, h] : s.handles_slow()) index[k] = h;
+  ASSERT_EQ(index.size(), 64u);
+
+  mgr.txBegin();
+  auto* d = mgr.my_desc();
+  EXPECT_EQ(s.value_at(index[10]), 10u);
+  EXPECT_EQ(d->read_count(), 1);
+  EXPECT_EQ(d->write_count(), 0);
+  EXPECT_EQ(s.put_at(index[20], 200), 20u);
+  EXPECT_EQ(d->read_count(), 1);
+  EXPECT_EQ(d->write_count(), 2);
+  EXPECT_EQ(s.put_at(index[20], 201), 200u);
+  EXPECT_EQ(d->read_count(), 1);
+  EXPECT_EQ(d->write_count(), 2);
+  EXPECT_EQ(s.value_at(index[20]), 201u);  // reads its own pin
+  EXPECT_EQ(d->read_count(), 2);
+  EXPECT_EQ(d->write_count(), 2);
+  const auto ins = s.insert_handle(1000, 7);
+  EXPECT_TRUE(ins.second);
+  EXPECT_EQ(d->read_count(), 2);
+  EXPECT_EQ(d->write_count(), 3);
+  EXPECT_EQ(s.remove_at(index[30]), 30u);
+  EXPECT_EQ(d->read_count(), 2);
+  EXPECT_EQ(d->write_count(), 4);
+  mgr.txEnd();
+
+  EXPECT_EQ(s.get(20), Opt(201));
+  EXPECT_EQ(s.get(1000), Opt(7));
+  EXPECT_FALSE(s.contains(30));
+  EXPECT_TRUE(s.invariants_hold_slow());
+}

@@ -1,9 +1,12 @@
 // MedleyStore: the serving-layer subsystem where all three structure
 // families compose in one transaction on a hot path. Invariants under
 // test ("mutual consistency"):
-//   I1  primary and secondary index the same key -> value mapping;
+//   I1  one record per key: every primary entry maps its key to the live
+//       secondary node holding that key's value, and the key counts agree
+//       (medley::test::primary_maps_live_nodes);
 //   I2  the change feed, replayed over an empty map, reproduces the
-//       primary exactly (feed order == serialization order);
+//       store's key -> value mapping exactly (feed order == serialization
+//       order);
 //   I3  a committed transaction can never observe I1 broken (no torn
 //       composite writes), even under contention or pinned interleavings;
 //   I4  the persistent variant recovers primary+secondary consistently
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -23,6 +27,7 @@
 #include "util/rng.hpp"
 
 using medley::TransactionAborted;
+using medley::TxExecutor;
 using medley::TxManager;
 using medley::store::FeedOp;
 using medley::store::MedleyStore;
@@ -31,33 +36,9 @@ using medley::store::StoreConfig;
 using Store = MedleyStore<std::uint64_t, std::uint64_t>;
 
 namespace h = medley::test::harness;
+using medley::test::primary_maps_live_nodes;
 
 namespace {
-
-/// I1 checked quiescently: every secondary entry matches primary.get and
-/// the sizes agree (set equality via inclusion + cardinality).
-template <typename S>
-::testing::AssertionResult mutually_consistent(S& store) {
-  auto snapshot = store.range(0, ~0ULL);
-  for (const auto& [k, v] : snapshot) {
-    auto p = store.get(k);
-    if (!p) {
-      return ::testing::AssertionFailure()
-             << "key " << k << " in secondary but not primary";
-    }
-    if (*p != v) {
-      return ::testing::AssertionFailure()
-             << "key " << k << ": primary=" << *p << " secondary=" << v;
-    }
-  }
-  const std::size_t psize = store.primary().size_slow();
-  if (psize != snapshot.size()) {
-    return ::testing::AssertionFailure()
-           << "primary holds " << psize << " keys, secondary "
-           << snapshot.size();
-  }
-  return ::testing::AssertionSuccess();
-}
 
 std::string temp_region(const char* name) {
   std::string p = ::testing::TempDir() + "medley_store_" + name + ".img";
@@ -91,7 +72,7 @@ TEST(Store, PointOpSemantics) {
   };
   EXPECT_FALSE(s.read_modify_write(7, erase).has_value());
   EXPECT_FALSE(s.contains(7));
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 
   auto st = s.stats();
   EXPECT_GT(st.commits, 0u);
@@ -113,7 +94,7 @@ TEST(Store, RangeScanAndMultiPut) {
   EXPECT_EQ(sc[1].first, 30u);
 
   EXPECT_TRUE(s.range(41, 1000).empty());
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 TEST(Store, FeedMirrorsCommittedMutationsInOrder) {
@@ -137,12 +118,12 @@ TEST(Store, FeedMirrorsCommittedMutationsInOrder) {
   EXPECT_EQ(s.feed_depth(), 0u);
   EXPECT_TRUE(s.poll_feed(4).empty());
 
-  // I2: replay reproduces the primary.
+  // I2: replay reproduces the store's mapping.
   std::map<std::uint64_t, std::uint64_t> replayed;
   medley::store::replay_feed(feed, replayed);
   std::map<std::uint64_t, std::uint64_t> want{{1, 11}, {3, 30}, {4, 40}};
   EXPECT_EQ(replayed, want);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 TEST(Store, FlatNestingComposesIntoAmbientTransaction) {
@@ -177,7 +158,7 @@ TEST(Store, FlatNestingComposesIntoAmbientTransaction) {
   EXPECT_EQ(s.feed_depth(), 2u);  // nested pushes counted at commit
   EXPECT_EQ(s.poll_feed(10).size(), 2u);
   EXPECT_EQ(s.feed_depth(), 0u);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 TEST(Store, MixedWorkloadMutualConsistency8Threads) {
@@ -240,9 +221,9 @@ TEST(Store, MixedWorkloadMutualConsistency8Threads) {
 
   EXPECT_FALSE(torn.load()) << "a committed snapshot saw torn indexes";
   EXPECT_GT(snapshots.load(), 0u);
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 
-  // I2 at scale: polled prefix + final drain replays to the primary.
+  // I2 at scale: polled prefix + final drain replays to the mapping.
   for (;;) {
     auto batch = s.poll_feed(64);
     if (batch.empty()) break;
@@ -259,6 +240,111 @@ TEST(Store, MixedWorkloadMutualConsistency8Threads) {
   EXPECT_GT(st.commits, 0u);
   EXPECT_EQ(st.feed_pushed, log.size());
   EXPECT_EQ(st.feed_polled, log.size());
+}
+
+TEST(Store, ReadAndWriteFootprintsExact) {
+  // One record per key: a GET reads the hash link and the node's next[0]
+  // (2 read entries). An existing-key PUT reads the hash link and writes
+  // only the node: its pin and its value cell (1 read, 2 write entries),
+  // plus the feed's. A new key adds the hash insert to the skiplist link;
+  // a DEL marks one link in each index.
+  TxManager mgr;
+  Store s(&mgr, {.buckets = 64, .feed_enabled = false});
+  for (std::uint64_t k = 1; k <= 32; k++) s.put(k, k);
+
+  using RW = std::pair<int, int>;
+  using Opt = std::optional<std::uint64_t>;
+  auto footprint = [&](auto&& op) {
+    mgr.txBegin();
+    op();
+    const auto* d = mgr.my_desc();
+    const RW rw{d->read_count(), d->write_count()};
+    mgr.txEnd();
+    return rw;
+  };
+  EXPECT_EQ(footprint([&] { EXPECT_EQ(s.get(5), Opt(5)); }), RW(2, 0));
+  EXPECT_EQ(footprint([&] { EXPECT_EQ(s.get(500), Opt()); }), RW(1, 0));
+  EXPECT_EQ(footprint([&] { EXPECT_EQ(s.put(5, 50), Opt(5)); }), RW(1, 2));
+  EXPECT_EQ(footprint([&] {
+              EXPECT_EQ(s.put(6, 60), Opt(6));
+              EXPECT_EQ(s.put(6, 61), Opt(60));
+            }),
+            RW(2, 2));  // the repeat re-reads the hash link only
+  EXPECT_EQ(footprint([&] { EXPECT_EQ(s.put(500, 1), Opt()); }), RW(1, 2));
+  EXPECT_EQ(footprint([&] { EXPECT_EQ(s.del(7), Opt(7)); }), RW(0, 2));
+
+  // With the feed on, an existing-key PUT costs exactly the feed's append
+  // on top: measured as a transaction that only appends to the same feed.
+  Store f(&mgr, {.buckets = 64});
+  for (std::uint64_t k = 1; k <= 32; k++) f.put(k, k);
+  const RW feed = footprint([&] {
+    f.feed_queue().enqueue({FeedOp::Put, 9, 9});
+  });
+  const RW put = footprint([&] { f.put(9, 90); });
+  EXPECT_EQ(put, RW(1 + feed.first, 2 + feed.second));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
+  EXPECT_TRUE(primary_maps_live_nodes(f));
+}
+
+TEST(Store, PairPutsNeverTearAGet) {
+  // Two writers each put a key pair (2i, 2i+1) to one fresh value per
+  // transaction; readers get both keys inside one transaction, one under
+  // execute and one under execute_ro. An existing-key PUT writes only the
+  // skiplist node, so this holds only because a GET registers the node's
+  // next[0], which every PUT's pin bumps at commit.
+  TxManager mgr;
+  Store s(&mgr, {.buckets = 64});
+  constexpr std::uint64_t kPairs = 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  for (std::uint64_t k = 0; k < 2 * kPairs; k++) s.put(k, 0);
+  std::atomic<int> writers_left{2};
+  std::atomic<std::uint64_t> torn{0}, reads{0};
+
+  h::run_seeded(4, 1861, [&](int t, medley::util::Xoshiro256& rng) {
+    if (t < 2) {
+      for (std::uint64_t i = 1;
+           i <= 1000 || std::chrono::steady_clock::now() < deadline; i++) {
+        const auto p = rng.next_bounded(kPairs);
+        const std::uint64_t v = (static_cast<std::uint64_t>(t + 1) << 32) | i;
+        medley::execute_tx(mgr, [&] {
+          s.put(2 * p, v);
+          s.put(2 * p + 1, v);
+        });
+      }
+      writers_left.fetch_sub(1);
+      return;
+    }
+    TxExecutor ex;
+    while (writers_left.load() > 0) {
+      const auto p = rng.next_bounded(kPairs);
+      auto body = [&] { return std::pair{s.get(2 * p), s.get(2 * p + 1)}; };
+      auto res = t == 2 ? ex.execute(mgr, body) : ex.execute_ro(mgr, body);
+      ASSERT_TRUE(res.committed());
+      reads.fetch_add(1, std::memory_order_relaxed);
+      const auto& [a, b] = *res.value;
+      if (!a || !b || *a != *b) torn.fetch_add(1);
+    }
+  });
+
+  EXPECT_EQ(torn.load(), 0u) << "of " << reads.load() << " committed reads";
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_TRUE(primary_maps_live_nodes(s));
+}
+
+TEST(Store, OneRecordCheckerCatchesAMisdirectedHandle) {
+  // The structural checker itself: a primary entry naming another key's
+  // node, or a key the primary lacks, must fail it.
+  TxManager mgr;
+  Store s(&mgr, {.buckets = 64});
+  for (std::uint64_t k = 1; k <= 4; k++) s.put(k, k * 10);
+  ASSERT_TRUE(primary_maps_live_nodes(s));
+  const auto h2 = s.primary().get(2);
+  ASSERT_TRUE(h2.has_value());
+  ASSERT_TRUE(s.primary().remove(1).has_value());
+  EXPECT_FALSE(primary_maps_live_nodes(s));  // key 1 unmapped
+  ASSERT_TRUE(s.primary().insert(1, *h2));
+  EXPECT_FALSE(primary_maps_live_nodes(s));  // key 1 -> key 2's node
 }
 
 TEST(Store, SchedulePinnedCrossIndexConflictAbortsNotTears) {
@@ -303,7 +389,7 @@ TEST(Store, SchedulePinnedCrossIndexConflictAbortsNotTears) {
   auto feed = s.poll_feed(10);
   ASSERT_EQ(feed.size(), t0_committed.load() ? 2u : 1u);
   EXPECT_EQ(feed.back().val, final_val) << "feed order != serial order";
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
 }
 
 // ---------------------------------------------------------------------
@@ -325,7 +411,7 @@ TEST(PersistentStore, BasicsSurviveCrashAndRecovery) {
     auto r = s.range(10, 13);
     ASSERT_EQ(r.size(), 4u);
     EXPECT_EQ(r[0].second, 100u);
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
     es.sync();
   }  // crash: every DRAM structure is gone
   {
@@ -341,19 +427,21 @@ TEST(PersistentStore, BasicsSurviveCrashAndRecovery) {
     EXPECT_FALSE(s.contains(15));
     EXPECT_EQ(s.get(20), std::optional<std::uint64_t>(205));
     EXPECT_EQ(s.range(1, 30).size(), 29u);
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
     // The store remains fully operational post-recovery.
     s.put(100, 1000);
     EXPECT_EQ(s.scan(99, 2).size(), 1u);
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
   }
   std::remove(path.c_str());
 }
 
 TEST(PersistentStore, OverwritesSurviveCrashInBothIndexes) {
-  // A PUT of an existing key replaces the secondary's value in place (a
+  // A PUT of an existing key replaces the skiplist's value in place (a
   // fresh payload swung into the live node, the old one retired). After a
-  // crash, both indexes must hold the last committed value of every key.
+  // crash, the recovered skiplist holds the last committed value of every
+  // key, in one payload per key, and the primary rebuilt from it maps
+  // every key to that node.
   auto path = temp_region("overwrite");
   constexpr std::uint64_t kKeys = 24;
   {
@@ -373,8 +461,9 @@ TEST(PersistentStore, OverwritesSurviveCrashInBothIndexes) {
     }
     s.multi_put({{1, 7001}, {2, 7002}});
     s.del(5);
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
     es.sync();
+    EXPECT_EQ(es.durable_payload_count(), kKeys - 1);  // one per mapping
   }  // crash
   {
     medley::montage::PRegion region(path, 2048);
@@ -397,11 +486,11 @@ TEST(PersistentStore, OverwritesSurviveCrashInBothIndexes) {
     for (const auto& [k, v] : want) {
       EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(v)) << k;
     }
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
     // Overwrites keep working on the recovered indexes.
     EXPECT_EQ(s.put(3, 1), std::optional<std::uint64_t>(303));
     EXPECT_EQ(s.scan(3, 1)[0].second, 1u);
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
   }
   std::remove(path.c_str());
 }
@@ -409,8 +498,9 @@ TEST(PersistentStore, OverwritesSurviveCrashInBothIndexes) {
 TEST(PersistentStore, ConcurrentCrashRecoveryKeepsIndexesConsistent) {
   // Threads write key PAIRS (k, k+1000) atomically via multi_put while
   // the epoch advancer runs; the process then "crashes" mid-stream. The
-  // recovered store must be a consistent prefix: both indexes identical,
-  // and every pair present-or-absent as a unit with equal values.
+  // recovered store must be a consistent prefix: the rebuilt primary
+  // maps every recovered node, and every pair is present-or-absent as a
+  // unit with equal values.
   auto path = temp_region("pairs");
   constexpr std::uint64_t kKeys = 24;
   {
@@ -446,7 +536,7 @@ TEST(PersistentStore, ConcurrentCrashRecoveryKeepsIndexesConsistent) {
     PersistentMedleyStore s(&mgr, &es, /*sid=*/7, {.buckets = 64});
     s.recover_from(recovered);
 
-    EXPECT_TRUE(mutually_consistent(s));
+    EXPECT_TRUE(primary_maps_live_nodes(s));
     for (std::uint64_t k = 0; k < kKeys; k++) {
       auto a = s.get(k);
       auto b = s.get(k + 1000);
@@ -461,9 +551,10 @@ TEST(PersistentStore, CapacityAbortsAreTransientUnderChurn) {
   // A deliberately tight region: updates retire old payloads, and slots
   // only free after an epoch advance, so put() hits Capacity aborts that
   // run_tx must absorb (retry until the advancer catches up) without the
-  // caller ever seeing a failure.
+  // caller ever seeing a failure. One payload per mapping: the 640 puts
+  // allocate 640 payloads, twice what the region holds.
   auto path = temp_region("tight");
-  medley::montage::PRegion region(path, 640);
+  medley::montage::PRegion region(path, 320);
   TxManager mgr;
   medley::montage::EpochSys es(&region);
   es.attach(&mgr);
@@ -479,7 +570,7 @@ TEST(PersistentStore, CapacityAbortsAreTransientUnderChurn) {
   for (std::uint64_t k = 0; k < kKeys; k++) {
     EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(39));
   }
-  EXPECT_TRUE(mutually_consistent(s));
+  EXPECT_TRUE(primary_maps_live_nodes(s));
   auto st = s.stats();
   EXPECT_GE(st.commits, 40u * kKeys);  // every put eventually committed
   std::remove(path.c_str());

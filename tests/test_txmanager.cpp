@@ -240,11 +240,20 @@ TEST(TxManager, RunTxRetriesUntilCommit) {
       a.CAS(v, v);  // counter churn: forces occasional validation failures
     }
   });
-  auto aborts = medley::execute_tx(mgr, [&] {
-    attempts.fetch_add(1);
-    auto v = a.nbtcLoad();
-    if (!a.nbtcCAS(v, v + 1, true, true)) mgr.txAbort();
-  }).stats;
+  // A failed nbtcCAS becomes a User abort, which the default policy does
+  // not retry: a noise bump between the load and the CAS would end the
+  // call uncommitted. Retry User aborts too.
+  medley::TxPolicy retry_user;
+  retry_user.retry_user = true;
+  auto aborts = medley::execute_tx(
+                    mgr,
+                    [&] {
+                      attempts.fetch_add(1);
+                      auto v = a.nbtcLoad();
+                      if (!a.nbtcCAS(v, v + 1, true, true)) mgr.txAbort();
+                    },
+                    retry_user)
+                    .stats;
   stop = true;
   noise.join();
   EXPECT_EQ(a.load(), 1u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -108,6 +109,63 @@ TEST(TxMontage, SkiplistPutOutsideTransactionLeavesNoPayload) {
   es.sync();
   EXPECT_EQ(m.get(1), std::optional<std::uint64_t>(11));
   EXPECT_EQ(es.durable_payload_count(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(TxMontage, SkiplistHandleOpsKeepOnePayloadPerMapping) {
+  // The handle ops manage payloads the way insert/put/remove do:
+  // insert_handle allocates one (and cancels it when the key is present),
+  // put_at swings in a fresh one and retires the old, remove_at retires
+  // it. A write refused outside a transaction leaves no payload. After a
+  // crash, the recovered list hands out handles to the same mappings.
+  using Handle = TxMontageSkiplist::Handle;
+  auto path = temp_region("txm_sl_handles");
+  {
+    PRegion region(path, 1024);
+    TxManager mgr;
+    EpochSys es(&region);
+    es.attach(&mgr);
+    TxMontageSkiplist m(&mgr, &es, /*sid=*/2);
+    std::map<std::uint64_t, Handle> index;
+    medley::execute_tx(mgr, [&] {
+      for (std::uint64_t k = 1; k <= 8; k++) {
+        const auto [h, inserted] = m.insert_handle(k, k * 10);
+        EXPECT_TRUE(inserted);
+        index[k] = h;
+      }
+    });
+    const auto again = m.insert_handle(3, 999);
+    EXPECT_FALSE(again.second);
+    EXPECT_EQ(again.first, index[3]);
+    EXPECT_THROW(m.put_at(index[4], 1), std::logic_error);
+    EXPECT_THROW(m.remove_at(index[4]), std::logic_error);
+    medley::execute_tx(mgr, [&] {
+      EXPECT_EQ(m.put_at(index[4], 41), 40u);
+      EXPECT_EQ(m.put_at(index[4], 42), 41u);
+      EXPECT_EQ(m.value_at(index[4]), 42u);
+      EXPECT_EQ(m.remove_at(index[5]), 50u);
+    });
+    es.sync();
+    EXPECT_EQ(es.durable_payload_count(), 7u);
+    EXPECT_EQ(m.value_at(index[3]), 30u);
+  }  // crash
+  {
+    PRegion region(path, 1024);
+    TxManager mgr;
+    EpochSys es(&region);
+    auto recovered = es.recover();
+    es.attach(&mgr);
+    TxMontageSkiplist m(&mgr, &es, /*sid=*/2);
+    m.recover_from(recovered);
+    std::map<std::uint64_t, Handle> index;
+    for (const auto& [k, h] : m.handles_slow()) index[k] = h;
+    ASSERT_EQ(index.size(), 7u);
+    EXPECT_FALSE(index.count(5));
+    EXPECT_EQ(m.value_at(index[4]), 42u);
+    EXPECT_EQ(m.value_at(index[8]), 80u);
+    medley::execute_tx(mgr, [&] { EXPECT_EQ(m.put_at(index[4], 43), 42u); });
+    EXPECT_EQ(m.get(4), std::optional<std::uint64_t>(43));
+  }
   std::remove(path.c_str());
 }
 
