@@ -40,7 +40,10 @@ EpochSys::~EpochSys() {
   // No operations are running by contract: release every deferred slot
   // before the region can go away.
   std::lock_guard<std::mutex> g(advance_mutex_);
-  for (const PendingFree& p : pending_free_) region_->free(p.blk);
+  std::vector<PBlk*> released;
+  released.reserve(pending_free_.size());
+  for (const PendingFree& p : pending_free_) released.push_back(p.blk);
+  region_->release(released);
   pending_free_.clear();
 }
 
@@ -191,14 +194,17 @@ void EpochSys::advance() {
   ebr.collect();  // nudge the reclamation epoch forward
   const std::uint64_t ebr_after = ebr.epoch();
   std::size_t kept = 0;
+  std::vector<PBlk*> released;
+  released.reserve(pending_free_.size());
   for (std::size_t i = 0; i < pending_free_.size(); i++) {
     if (pending_free_[i].ebr_epoch + 2 <= ebr_after) {
-      region_->free(pending_free_[i].blk);
+      released.push_back(pending_free_[i].blk);
     } else {
       pending_free_[kept++] = pending_free_[i];
     }
   }
   pending_free_.resize(kept);
+  region_->release(released);  // one depot operation for all of them
 }
 
 void EpochSys::sync() {

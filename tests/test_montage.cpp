@@ -3,9 +3,13 @@
 // transaction aborts (epoch folded into the MCNS read set).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
+#include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "montage/epoch_sys.hpp"
 #include "montage/pregion.hpp"
@@ -36,6 +40,32 @@ TEST(PRegion, FreshRegionInitialized) {
   std::remove(path.c_str());
 }
 
+TEST(PRegion, FreshRegionHandsOutInIndexOrderAndStaysUnbacked) {
+  // A created file is all zeros already: the open writes no slot, so
+  // only the pages of slots actually used get backed.
+  auto path = temp_region("unbacked");
+  constexpr std::size_t kSlots = std::size_t{1} << 20;  // 64 MiB of slots
+  PRegion r(path, kSlots);
+  ASSERT_TRUE(r.fresh());
+  for (std::size_t i = 0; i < 200; i++) {
+    PBlk* b = r.alloc();
+    ASSERT_EQ(b, r.slot(i));
+    b->magic.store(PBlk::kMagicLive);
+  }
+  struct stat st{};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(static_cast<std::size_t>(st.st_size), 64 + kSlots * 64);
+  EXPECT_LT(static_cast<std::size_t>(st.st_blocks) * 512, kSlots * 64 / 16);
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, CapacityBeyondIndexWidthRefused) {
+  auto path = temp_region("toolarge");
+  EXPECT_THROW(PRegion(path, std::size_t{1} << 32), std::invalid_argument);
+  struct stat st{};
+  EXPECT_NE(::stat(path.c_str(), &st), 0);  // nothing was created
+}
+
 TEST(PRegion, AllocFreeCycle) {
   auto path = temp_region("allocfree");
   PRegion r(path, 16);
@@ -60,6 +90,92 @@ TEST(PRegion, ExhaustionReturnsNull) {
   EXPECT_EQ(r.alloc(), nullptr);
   r.free(blks[2]);
   EXPECT_NE(r.alloc(), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, ExhaustionIsExactAcrossThreadCaches) {
+  // Slots freed into one thread's cache are found by another thread once
+  // the depot and the never-used range are empty — and nothing more is.
+  auto path = temp_region("exactsteal");
+  PRegion r(path, 256);
+  std::vector<PBlk*> all;
+  for (PBlk* b; (b = r.alloc()) != nullptr;) all.push_back(b);
+  ASSERT_EQ(all.size(), 256u);
+  ASSERT_EQ(std::set<PBlk*>(all.begin(), all.end()).size(), 256u);
+  constexpr std::size_t kFreed = 10;
+  const std::set<PBlk*> freed(all.begin(), all.begin() + kFreed);
+  for (PBlk* b : freed) r.free(b);  // into this thread's cache
+  std::set<PBlk*> got;
+  bool then_null = false;
+  std::thread other([&] {
+    for (std::size_t i = 0; i < kFreed; i++) {
+      if (PBlk* b = r.alloc()) got.insert(b);
+    }
+    then_null = r.alloc() == nullptr;
+  });
+  other.join();
+  EXPECT_EQ(got, freed);
+  EXPECT_TRUE(then_null);
+  EXPECT_EQ(r.alloc(), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, ResetEmptiesEveryCache) {
+  auto path = temp_region("resetcaches");
+  PRegion r(path, 256);
+  std::vector<PBlk*> held;
+  for (int i = 0; i < 100; i++) held.push_back(r.alloc());
+  for (int i = 0; i < 50; i++) r.free(held[static_cast<std::size_t>(i)]);
+  std::thread([&] { r.free(r.alloc()); }).join();
+  r.reset();
+  // Every slot exactly once, in index order: no cached index survived.
+  for (std::size_t i = 0; i < 256; i++) ASSERT_EQ(r.alloc(), r.slot(i));
+  EXPECT_EQ(r.alloc(), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, RebuildAfterPartialUseIsExact) {
+  // More than one batch used, every third slot live, the rest freed into
+  // this thread's cache (which spills to the depot): both an in-place
+  // rebuild and a reopen must list exactly the non-live slots as free.
+  auto path = temp_region("partial");
+  constexpr std::size_t kCap = 1024, kUsed = 300;
+  auto drain = [](PRegion& r) {
+    std::size_t n = 0;
+    for (PBlk* b; (b = r.alloc()) != nullptr; n++) {
+      EXPECT_NE(b->magic.load(), PBlk::kMagicLive);
+    }
+    return n;
+  };
+  std::size_t live = 0;
+  {
+    PRegion r(path, kCap);
+    std::vector<PBlk*> used;
+    for (std::size_t i = 0; i < kUsed; i++) {
+      used.push_back(r.alloc());
+      ASSERT_EQ(used.back(), r.slot(i));
+    }
+    for (std::size_t i = 0; i < kUsed; i++) {
+      if (i % 3 == 0) {
+        used[i]->magic.store(PBlk::kMagicLive);
+        live++;
+      } else {
+        r.free(used[i]);
+      }
+    }
+    EXPECT_EQ(r.live_count(), live);
+    r.rebuild_freelist([](const PBlk& b) {
+      return b.magic.load() != PBlk::kMagicLive;
+    });
+    EXPECT_EQ(drain(r), kCap - live);
+    EXPECT_EQ(r.live_count(), live);
+  }
+  {
+    PRegion r(path, kCap);
+    EXPECT_FALSE(r.fresh());
+    EXPECT_EQ(r.live_count(), live);
+    EXPECT_EQ(drain(r), kCap - live);
+  }
   std::remove(path.c_str());
 }
 
@@ -92,18 +208,59 @@ TEST(PRegion, ContentsSurviveReopen) {
   std::remove(path.c_str());
 }
 
+TEST(PRegion, ReopenWithOtherCapacityRefusesAndKeepsContents) {
+  auto path = temp_region("othercap");
+  {
+    PRegion r(path, 32);
+    PBlk* b = r.alloc();
+    b->key = 77;
+    b->create_epoch.store(3);
+    b->magic.store(PBlk::kMagicLive);
+    r.header().persisted_epoch.store(5);
+  }
+  EXPECT_THROW(PRegion(path, 64), std::runtime_error);
+  EXPECT_THROW(PRegion(path, 16), std::runtime_error);
+  {
+    PRegion r(path, 32);
+    EXPECT_FALSE(r.fresh());
+    EXPECT_EQ(r.header().persisted_epoch.load(), 5u);
+    EXPECT_EQ(r.live_count(), 1u);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(PRegion, ConcurrentAllocFreeNoDoubleHandout) {
+  // Four threads alloc/free one slot at a time through their caches; a
+  // fifth holds batches of slots and hands them back through the bulk
+  // path, as the epoch advancer does.
   auto path = temp_region("concalloc");
   PRegion r(path, 256);
   std::atomic<int> collisions{0};
-  medley::test::run_threads(4, [&](int) {
-    for (int i = 0; i < 500; i++) {
+  // Claim marker: a handed-out slot's owner_sid is nonzero until freed.
+  auto claim = [&](PBlk* b) {
+    if (b->owner_sid.exchange(1) != 0) collisions.fetch_add(1);
+  };
+  medley::test::run_threads(5, [&](int t) {
+    if (t == 4) {
+      std::vector<PBlk*> held;
+      for (int round = 0; round < 100; round++) {
+        for (int i = 0; i < 32; i++) {
+          if (PBlk* b = r.alloc()) {
+            claim(b);
+            held.push_back(b);
+          }
+        }
+        for (PBlk* b : held) b->owner_sid.store(0);
+        r.release(held);
+        held.clear();
+      }
+      return;
+    }
+    for (int i = 0; i < 2000; i++) {
       PBlk* b = r.alloc();
       if (b == nullptr) continue;
-      // Claim marker: if another thread holds this block, magic is Live.
-      if (b->magic.load() == PBlk::kMagicLive) collisions.fetch_add(1);
-      b->magic.store(PBlk::kMagicLive);
-      b->magic.store(PBlk::kMagicFree);
+      claim(b);
+      b->owner_sid.store(0);
       r.free(b);
     }
   });
