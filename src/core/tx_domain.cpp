@@ -6,7 +6,7 @@
 
 namespace medley::core {
 
-thread_local ThreadCtx* TxDomain::tl_active_ = nullptr;
+constinit thread_local ThreadCtx* TxDomain::tl_active_ = nullptr;
 
 TxDomain::TxDomain() = default;
 TxDomain::~TxDomain() = default;

@@ -367,7 +367,10 @@ class TxDomain {
   std::unique_ptr<ThreadCtx> ctxs_[util::ThreadRegistry::kMaxThreads];
   std::unique_ptr<Desc> descs_[util::ThreadRegistry::kMaxThreads];
 
-  static thread_local ThreadCtx* tl_active_;
+  // constinit: the initializer is constant, so other translation units
+  // access it directly, not through a TLS wrapper that first checks for
+  // a dynamic initializer (an access UBSAN reported as a null load).
+  static constinit thread_local ThreadCtx* tl_active_;
 };
 
 }  // namespace medley::core

@@ -27,6 +27,17 @@ class EpochFolder : public core::Composable {
   core::CASObj<std::uint64_t>* cell_;
 };
 
+/// The recovery predicate: a live payload created by the persisted
+/// boundary `pe` whose retirement, if any, did not persist by it.
+bool survives(const PBlk& b, std::uint64_t pe) {
+  if (b.magic.load(std::memory_order_relaxed) != PBlk::kMagicLive) {
+    return false;
+  }
+  const std::uint64_t ce = b.create_epoch.load(std::memory_order_relaxed);
+  const std::uint64_t re = b.retire_epoch.load(std::memory_order_relaxed);
+  return ce <= pe && (re == 0 || re > pe);
+}
+
 }  // namespace
 
 EpochSys::EpochSys(PRegion* region) : region_(region) {
@@ -230,45 +241,29 @@ void EpochSys::stop_advancer() {
   }
 }
 
-std::vector<EpochSys::Recovered> EpochSys::recover() {
+std::vector<PBlk*> EpochSys::recover() {
   const std::uint64_t pe = persisted_epoch();
-  region_->rebuild_freelist([pe](const PBlk& b) {
-    if (b.magic.load(std::memory_order_relaxed) != PBlk::kMagicLive) {
-      return true;
+  std::vector<PBlk*> out;
+  region_->rebuild_freelist([pe, &out](PBlk& b) {
+    if (!survives(b, pe)) return true;
+    // Clear any unpersisted retirement stamp (it happened after the
+    // boundary, i.e. never).
+    if (b.retire_epoch.load(std::memory_order_relaxed) > pe) {
+      b.retire_epoch.store(0, std::memory_order_relaxed);
     }
-    const std::uint64_t ce = b.create_epoch.load(std::memory_order_relaxed);
-    const std::uint64_t re = b.retire_epoch.load(std::memory_order_relaxed);
-    const bool live = ce <= pe && (re == 0 || re > pe);
-    return !live;
+    out.push_back(&b);
+    return false;
   });
-  std::vector<Recovered> out;
-  for (std::size_t i = 0; i < region_->capacity(); i++) {
-    PBlk* b = region_->slot(i);
-    if (b->magic.load(std::memory_order_relaxed) == PBlk::kMagicLive) {
-      // Survivor: clear any unpersisted retirement stamp (it happened
-      // after the boundary, i.e. never).
-      if (b->retire_epoch.load(std::memory_order_relaxed) > pe) {
-        b->retire_epoch.store(0, std::memory_order_relaxed);
-      }
-      out.push_back({b->owner_sid.load(std::memory_order_relaxed), b->key,
-                     b->val, b->aux, b});
-    }
-  }
   epoch_.store(pe + 2);
   return out;
 }
 
 std::size_t EpochSys::durable_payload_count() {
   const std::uint64_t pe = persisted_epoch();
+  const std::size_t limit = region_->scan_limit();
   std::size_t n = 0;
-  for (std::size_t i = 0; i < region_->capacity(); i++) {
-    PBlk* b = region_->slot(i);
-    if (b->magic.load(std::memory_order_relaxed) != PBlk::kMagicLive) {
-      continue;
-    }
-    const std::uint64_t ce = b->create_epoch.load(std::memory_order_relaxed);
-    const std::uint64_t re = b->retire_epoch.load(std::memory_order_relaxed);
-    if (ce <= pe && (re == 0 || re > pe)) n++;
+  for (std::size_t i = 0; i < limit; i++) {
+    if (survives(*region_->slot(i), pe)) n++;
   }
   return n;
 }

@@ -121,16 +121,13 @@ class EpochSys {
 
   // ---- recovery ---------------------------------------------------------
 
-  struct Recovered {
-    std::uint64_t sid, key, val, aux;
-    PBlk* blk;
-  };
-
-  /// Apply the recovery predicate to the mapped region: discard payloads
-  /// beyond the persisted boundary, return the survivors (for structures
-  /// to rebuild their transient indices), and resume the epoch clock past
-  /// the boundary. Call before any operations.
-  std::vector<Recovered> recover();
+  /// Apply the recovery predicate to the mapped region in one pass over
+  /// the slots below its used bound: discard payloads beyond the persisted
+  /// boundary (their slots become free), return the survivors' slots (for
+  /// structures to rebuild their transient indices from owner_sid, key,
+  /// val and aux, read in the still-mapped slot), and resume the epoch
+  /// clock past the boundary. Call before any operations.
+  std::vector<PBlk*> recover();
 
   /// Number of payloads that would currently be recovered (tests).
   std::size_t durable_payload_count();

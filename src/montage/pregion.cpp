@@ -63,16 +63,12 @@ PRegion::PRegion(const std::string& path, std::size_t capacity)
   fresh_ = !valid;
   if (fresh_) {
     // A file that was empty is all zeros already; leaving it unwritten
-    // keeps its pages unbacked until their slots are first used.
+    // keeps its pages unbacked until their slots are first used. Any
+    // other file without a valid header may hold anything: zero it whole.
     if (size != 0) {
       std::memset(static_cast<void*>(slots_), 0, capacity_ * sizeof(PBlk));
     }
-    header_->format_magic = RegionHeader::kFormatMagic;
-    header_->capacity = capacity_;
-    header_->persisted_epoch.store(0, std::memory_order_relaxed);
-    util::flush_range(header_, sizeof(RegionHeader));
-    util::sfence();
-    clear_free_state(0);
+    format();
   } else {
     rebuild_freelist([](const PBlk& b) {
       return b.magic.load(std::memory_order_relaxed) != PBlk::kMagicLive;
@@ -86,6 +82,17 @@ PRegion::~PRegion() {
   }
 }
 
+void PRegion::format() {
+  header_->format_magic = RegionHeader::kFormatMagic;
+  header_->capacity = capacity_;
+  header_->persisted_epoch.store(0, std::memory_order_relaxed);
+  header_->used_bound.store(std::min(kBoundChunk, capacity_),
+                            std::memory_order_relaxed);
+  util::flush_range(header_, sizeof(RegionHeader));
+  util::sfence();
+  clear_free_state(0);
+}
+
 void PRegion::clear_free_state(std::size_t unused) {
   std::lock_guard<std::mutex> d(depot_mu_);
   for (int i = 0; i < util::ThreadRegistry::kMaxThreads; i++) {
@@ -97,13 +104,11 @@ void PRegion::clear_free_state(std::size_t unused) {
   unused_ = unused;
 }
 
-void PRegion::rebuild_freelist(
-    const std::function<bool(const PBlk&)>& is_free) {
-  clear_free_state(capacity_);
+void PRegion::rebuild_freelist(const std::function<bool(PBlk&)>& is_free) {
+  const std::size_t limit = scan_limit();
+  clear_free_state(limit);
   std::lock_guard<std::mutex> d(depot_mu_);
-  // The depot hands out its back first: push in reverse so allocation
-  // proceeds from low indices.
-  for (std::size_t i = capacity_; i-- > 0;) {
+  for (std::size_t i = 0; i < limit; i++) {
     PBlk& b = slots_[i];
     if (!is_free(b)) continue;
     // Store only where needed: a write would dirty (and on a file hole,
@@ -113,6 +118,8 @@ void PRegion::rebuild_freelist(
     }
     depot_.push_back(static_cast<std::uint32_t>(i));
   }
+  // The depot hands out its back first: low indices go out first.
+  std::reverse(depot_.begin(), depot_.end());
 }
 
 void PRegion::refill_locked(Cache& c) {
@@ -124,6 +131,15 @@ void PRegion::refill_locked(Cache& c) {
     return;
   }
   const std::size_t take = std::min<std::size_t>(kBatch, capacity_ - unused_);
+  // unused_ never passes the bound, and a chunk covers a whole batch. The
+  // raised bound is durable before any slot of the new chunk goes out.
+  const std::size_t bound = scan_limit();
+  if (unused_ + take > bound) {
+    header_->used_bound.store(std::min(capacity_, bound + kBoundChunk),
+                              std::memory_order_release);
+    util::clwb(header_);
+    util::sfence();
+  }
   // Lowest index on top, so never-used slots go out in index order.
   for (std::size_t i = 0; i < take; i++) {
     c.idx[i] = static_cast<std::uint32_t>(unused_ + take - 1 - i);
@@ -190,16 +206,14 @@ void PRegion::release(std::span<PBlk* const> blks) {
 }
 
 void PRegion::reset() {
-  std::memset(static_cast<void*>(slots_), 0, capacity_ * sizeof(PBlk));
-  header_->persisted_epoch.store(0, std::memory_order_relaxed);
-  util::flush_range(header_, sizeof(RegionHeader));
-  util::sfence();
-  clear_free_state(0);
+  std::memset(static_cast<void*>(slots_), 0, scan_limit() * sizeof(PBlk));
+  format();
 }
 
 std::size_t PRegion::live_count() const {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < capacity_; i++) {
+  const std::size_t limit = scan_limit();
+  for (std::size_t i = 0; i < limit; i++) {
     if (slots_[i].magic.load(std::memory_order_relaxed) ==
         PBlk::kMagicLive) {
       n++;

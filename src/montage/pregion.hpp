@@ -19,6 +19,14 @@
 // index order from a high-water mark, so opening a created file costs no
 // zeroing and no scan, and its untouched tail is never paged in.
 //
+// The header persists a used bound above that mark: every slot index ever
+// handed out is below it. It rises kBoundChunk slots at a time, durably,
+// before the first slot of a new chunk leaves the depot lock, so one
+// header write-back covers 4096 fresh slots. Every scan (the rebuild on
+// open and in recovery, live_count, reset) stops at the bound: reopening
+// a region costs what its run used, not its capacity. A bound of 0 marks
+// a region written before the bound existed; it is scanned whole.
+//
 // Lock order: the depot lock before a cache lock, and never two cache
 // locks at once.
 
@@ -65,7 +73,13 @@ struct alignas(64) RegionHeader {
   /// Highest epoch whose payloads are fully durable; recovery restores
   /// the state as of the end of this epoch.
   std::atomic<std::uint64_t> persisted_epoch{0};
-  std::uint64_t reserved[5]{};
+  /// Every slot index ever handed out is below this bound (durably: it is
+  /// raised and written back before a slot at or above it is handed out).
+  /// A multiple of PRegion::kBoundChunk, or the capacity; never 0 once the
+  /// region is formatted. 0 means the region predates the bound, so every
+  /// slot may be in use.
+  std::atomic<std::uint64_t> used_bound{0};
+  std::uint64_t reserved[4]{};
 };
 
 static_assert(sizeof(RegionHeader) == 64);
@@ -74,13 +88,16 @@ class PRegion {
  public:
   /// Slot indices are 32-bit, so a region holds fewer than 2^32 slots.
   static constexpr std::size_t kMaxCapacity = 0xffffffffULL;
+  /// Slots the used bound rises by at a time (256 KiB of slots).
+  static constexpr std::size_t kBoundChunk = 4096;
 
   /// Map (creating if needed) a persistent region with `capacity` payload
   /// slots at `path`. A file holding a valid region is mapped as-is so
-  /// recovery can inspect its contents; one whose header names another
-  /// capacity is refused (std::runtime_error) and left untouched. A file
-  /// without a valid header is initialized; if it was empty (st_size 0)
-  /// its slots are zeros already and are not written. Throws
+  /// recovery can inspect its contents, and its slots below the used
+  /// bound are scanned to rebuild the free state; one whose header names
+  /// another capacity is refused (std::runtime_error) and left untouched.
+  /// A file without a valid header is initialized; if it was empty
+  /// (st_size 0) its slots are zeros already and are not written. Throws
   /// std::invalid_argument, before touching the file system, when
   /// `capacity` exceeds kMaxCapacity.
   PRegion(const std::string& path, std::size_t capacity);
@@ -111,17 +128,29 @@ class PRegion {
   /// a valid region (false -> recovery candidate)?
   bool fresh() const { return fresh_; }
 
-  /// Rebuild the transient free state: every slot for which `is_free`
-  /// returns true becomes allocatable (and is marked free); every cache
-  /// and the depot are emptied first. Called on open and by recovery;
-  /// no other operation may run concurrently.
-  void rebuild_freelist(const std::function<bool(const PBlk&)>& is_free);
+  /// Slots from this index up were never handed out: the header's used
+  /// bound, or the capacity for a region that predates the bound (or
+  /// whose bound this code could not have written).
+  std::size_t scan_limit() const {
+    const std::uint64_t b =
+        header_->used_bound.load(std::memory_order_acquire);
+    return b == 0 || b > capacity_ ? capacity_ : static_cast<std::size_t>(b);
+  }
 
-  /// Wipe all slots to the free state (tests / fresh start); no other
-  /// operation may run concurrently.
+  /// Rebuild the transient free state in one pass over the slots below
+  /// scan_limit(), in index order: every slot for which `is_free` returns
+  /// true becomes allocatable (and is marked free); `is_free` may update a
+  /// slot it keeps. Every cache and the depot are emptied first; slots
+  /// from scan_limit() up stay never-used. Called on open and by
+  /// recovery; no other operation may run concurrently.
+  void rebuild_freelist(const std::function<bool(PBlk&)>& is_free);
+
+  /// Wipe every slot below scan_limit() to the free state and start over
+  /// as a created region (tests / fresh start); no other operation may
+  /// run concurrently.
   void reset();
 
-  /// Number of live (allocated) slots — O(capacity) scan, tests only.
+  /// Number of live (allocated) slots — O(scan_limit()) scan, tests only.
   std::size_t live_count() const;
 
   const std::string& path() const { return path_; }
@@ -136,13 +165,19 @@ class PRegion {
     std::uint32_t idx[2 * kBatch];
   };
 
+  static_assert(kBatch <= kBoundChunk, "one raise must cover a refill");
+
   std::uint32_t index_of(const PBlk* blk) const {
     return static_cast<std::uint32_t>(blk - slots_);
   }
+  /// Write a created region's header (epoch 0, the first bound chunk) and
+  /// empty the free state: every slot is never-used.
+  void format();
   /// Empty every cache and the depot; slots from `unused` up are free.
   void clear_free_state(std::size_t unused);
   /// Move up to kBatch free slots into the empty cache `c`: from the
-  /// depot, else from the high-water mark. Caller holds depot_mu_ and c.mu.
+  /// depot, else from the high-water mark, raising the used bound first
+  /// when they reach it. Caller holds depot_mu_ and c.mu.
   void refill_locked(Cache& c);
   /// Move slots from other threads' caches into the depot until it holds
   /// a batch or every cache was searched. Caller holds depot_mu_ only.
@@ -158,7 +193,9 @@ class PRegion {
   std::unique_ptr<util::Padded<Cache>[]> caches_;  // by ThreadRegistry id
   std::mutex depot_mu_;
   std::vector<std::uint32_t> depot_;  // guarded by depot_mu_; back is next
-  std::size_t unused_ = 0;  // guarded by depot_mu_: slots >= it never used
+  // Guarded by depot_mu_: slots >= it were never used. Never above the
+  // used bound (scan_limit()), which refill_locked raises ahead of it.
+  std::size_t unused_ = 0;
 };
 
 }  // namespace medley::montage

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "ds/ms_queue.hpp"
 #include "montage/epoch_sys.hpp"
@@ -57,19 +59,20 @@ class TxMontageQueue {
 
   /// Rebuild from recovered payloads: this queue's survivors, re-enqueued
   /// in serial order. Call once, quiescent, before any operations.
-  void recover_from(const std::vector<EpochSys::Recovered>& payloads) {
-    std::vector<const EpochSys::Recovered*> mine;
-    for (const auto& r : payloads) {
-      if (r.sid == sid_) mine.push_back(&r);
+  void recover_from(std::span<PBlk* const> payloads) {
+    std::vector<PBlk*> mine;
+    for (PBlk* b : payloads) {
+      if (b->owner_sid.load(std::memory_order_relaxed) == sid_) {
+        mine.push_back(b);
+      }
     }
-    std::sort(mine.begin(), mine.end(),
-              [](const EpochSys::Recovered* a, const EpochSys::Recovered* b) {
-                return a->key < b->key;  // key field holds the serial
-              });
-    for (const auto* r : mine) {
-      q_.enqueue(r->blk);
+    std::sort(mine.begin(), mine.end(), [](const PBlk* a, const PBlk* b) {
+      return a->key < b->key;  // key field holds the serial
+    });
+    for (PBlk* b : mine) {
+      q_.enqueue(b);
       serial_.store(std::max(serial_.load(std::memory_order_relaxed),
-                             r->key + 1),
+                             b->key + 1),
                     std::memory_order_relaxed);
     }
   }

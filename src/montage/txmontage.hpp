@@ -14,6 +14,7 @@
 // the nbMontage payload discipline.
 
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -100,10 +101,10 @@ class TxMontageMap {
 
   /// Rebuild the DRAM index from recovered payloads (call once, before
   /// any operations, with the survivors of EpochSys::recover()).
-  void recover_from(const std::vector<EpochSys::Recovered>& payloads) {
-    for (const auto& r : payloads) {
-      if (r.sid != sid_) continue;
-      index_.insert(r.key, r.blk);
+  void recover_from(std::span<PBlk* const> payloads) {
+    for (PBlk* b : payloads) {
+      if (b->owner_sid.load(std::memory_order_relaxed) != sid_) continue;
+      index_.insert(b->key, b);
     }
   }
 

@@ -23,7 +23,7 @@
 // Keys and values are uint64_t — the payload shape of the persistent
 // region.
 
-#include <vector>
+#include <span>
 
 #include "montage/txmontage.hpp"
 #include "store/basic_store.hpp"
@@ -50,8 +50,7 @@ class PersistentMedleyStore
   /// Rebuild the skiplist from the survivors of EpochSys::recover(), then
   /// the primary from the skiplist. Call once, before any operations, on a
   /// freshly constructed store.
-  void recover_from(
-      const std::vector<montage::EpochSys::Recovered>& payloads) {
+  void recover_from(std::span<montage::PBlk* const> payloads) {
     owned_secondary_.recover_from(payloads);
     for (const auto& [k, h] : owned_secondary_.handles_slow()) {
       primary_.insert(k, h);

@@ -2,9 +2,13 @@
 // payload tagging/batched write-back, abort invalidation, straddling-
 // transaction aborts (epoch folded into the MCNS read set).
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
@@ -21,6 +25,7 @@ using medley::TxManager;
 using medley::montage::EpochSys;
 using medley::montage::PBlk;
 using medley::montage::PRegion;
+using medley::montage::RegionHeader;
 
 namespace {
 std::string temp_region(const char* name) {
@@ -132,6 +137,117 @@ TEST(PRegion, ResetEmptiesEveryCache) {
   for (std::size_t i = 0; i < 256; i++) ASSERT_EQ(r.alloc(), r.slot(i));
   EXPECT_EQ(r.alloc(), nullptr);
   std::remove(path.c_str());
+}
+
+TEST(PRegion, UsedBoundCoversEveryHandedOutSlot) {
+  // Four threads drain a region of three and a half bound chunks: every
+  // slot one of them gets lies below the bound it reads right after, and
+  // the bound climbs to the capacity, never past it.
+  auto path = temp_region("usedbound");
+  constexpr std::size_t kCap = 3 * PRegion::kBoundChunk + 2048;
+  PRegion r(path, kCap);
+  EXPECT_EQ(r.header().used_bound.load(), PRegion::kBoundChunk);
+  std::atomic<int> uncovered{0}, past_capacity{0};
+  std::vector<std::size_t> got[4];
+  medley::test::run_threads(4, [&](int t) {
+    for (PBlk* b; (b = r.alloc()) != nullptr;) {
+      const auto i = static_cast<std::size_t>(b - r.slot(0));
+      const std::uint64_t bound = r.header().used_bound.load();
+      if (i >= bound) uncovered.fetch_add(1);
+      if (bound > kCap) past_capacity.fetch_add(1);
+      got[t].push_back(i);
+    }
+  });
+  EXPECT_EQ(uncovered.load(), 0);
+  EXPECT_EQ(past_capacity.load(), 0);
+  std::size_t handed_out = 0;
+  std::set<std::size_t> all;
+  for (const auto& g : got) {
+    handed_out += g.size();
+    all.insert(g.begin(), g.end());
+  }
+  EXPECT_EQ(handed_out, kCap);  // each slot handed out exactly once
+  EXPECT_EQ(all.size(), kCap);
+  EXPECT_EQ(r.header().used_bound.load(), kCap);
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, ReopenNeverPagesInTheUnusedTail) {
+  // Reopening scans only below the used bound, so the process maps none
+  // of the pages past it: their present bits in /proc/self/pagemap stay
+  // clear, up to the kernel's fault-around. (mincore would report the
+  // page cache instead, which the creating run's write faults fill by
+  // the device's read-around window, 8 MiB on some hosts, whatever the
+  // reopen does.)
+  auto path = temp_region("tail");
+  constexpr std::size_t kSlots = std::size_t{1} << 20;  // 64 MiB of slots
+  constexpr std::size_t kUsed = 5000;
+  std::size_t live = 0;
+  {
+    PRegion r(path, kSlots);
+    ASSERT_TRUE(r.fresh());
+    for (std::size_t i = 0; i < kUsed; i++) {
+      PBlk* b = r.alloc();
+      ASSERT_EQ(b, r.slot(i));
+      if (i % 3 == 0) {
+        b->magic.store(PBlk::kMagicLive);
+        live++;
+      }
+    }
+  }
+  PRegion r(path, kSlots);
+  ASSERT_FALSE(r.fresh());
+  EXPECT_EQ(r.live_count(), live);
+  const std::uint64_t bound = r.header().used_bound.load();
+  ASSERT_GE(bound, kUsed);
+  ASSERT_LT(bound, kSlots / 64);
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto map_begin = reinterpret_cast<std::uintptr_t>(&r.header());
+  const std::uintptr_t map_end = map_begin + sizeof(RegionHeader) +
+                                 kSlots * sizeof(PBlk);
+  const std::uintptr_t from =
+      (reinterpret_cast<std::uintptr_t>(r.slot(bound)) + page - 1) &
+      ~(page - 1);
+  const std::size_t pages = (map_end - from + page - 1) / page;
+  std::vector<std::uint64_t> entries(pages);
+  const int fd = ::open("/proc/self/pagemap", O_RDONLY);
+  ASSERT_GE(fd, 0);
+  const auto want = static_cast<ssize_t>(pages * sizeof(std::uint64_t));
+  const ssize_t got =
+      ::pread(fd, entries.data(), static_cast<std::size_t>(want),
+              static_cast<off_t>(from / page * sizeof(std::uint64_t)));
+  ::close(fd);
+  ASSERT_EQ(got, want);
+  std::size_t present = 0;
+  for (std::uint64_t e : entries) present += e >> 63;  // bit 63: present
+  EXPECT_LE(present, pages / 100)
+      << present << " of " << pages << " tail pages mapped";
+  std::remove(path.c_str());
+}
+
+TEST(PRegion, RegionWithoutBoundIsScannedWhole) {
+  // A region written before the used bound existed holds 0 in its place:
+  // any slot may be live, so its open scans the whole capacity. So does
+  // one whose bound lies past its capacity, which no open could write.
+  constexpr std::size_t kCap = 2 * PRegion::kBoundChunk;
+  for (std::uint64_t bound : {std::uint64_t{0}, std::uint64_t{kCap + 1}}) {
+    SCOPED_TRACE("used_bound " + std::to_string(bound));
+    auto path = temp_region("nobound");
+    {
+      PRegion r(path, kCap);
+      r.slot(kCap - 1)->magic.store(PBlk::kMagicLive);
+      r.header().used_bound.store(bound);
+    }
+    PRegion r(path, kCap);
+    ASSERT_FALSE(r.fresh());
+    EXPECT_EQ(r.live_count(), 1u);
+    std::size_t n = 0;
+    for (PBlk* b; (b = r.alloc()) != nullptr; n++) {
+      ASSERT_NE(b, r.slot(kCap - 1));
+    }
+    EXPECT_EQ(n, kCap - 1);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(PRegion, RebuildAfterPartialUseIsExact) {
@@ -424,6 +540,6 @@ TEST_F(EpochSysTest, RecoverDropsUnpersistedPayloads) {
   medley::execute_tx(mgr, [&] { es->alloc_payload(1, 2, 22); });  // not synced
   auto recovered = es->recover();
   ASSERT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered[0].key, 1u);
-  EXPECT_EQ(recovered[0].val, 11u);
+  EXPECT_EQ(recovered[0]->key, 1u);
+  EXPECT_EQ(recovered[0]->val, 11u);
 }

@@ -5,9 +5,16 @@
 // only the persisted boundary, exactly like a machine restart would.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -18,6 +25,7 @@
 using medley::TransactionAborted;
 using medley::TxManager;
 using medley::montage::EpochSys;
+using medley::montage::PBlk;
 using medley::montage::PRegion;
 using medley::montage::TxMontageHashTable;
 using medley::montage::TxMontageSkiplist;
@@ -378,4 +386,99 @@ TEST(TxMontage, ConcurrentTransfersConserveAcrossCrash) {
     EXPECT_EQ(total, kAccounts * kInitial);  // transfers atomic at boundary
   }
   std::remove(path.c_str());
+}
+
+TEST(TxMontage, KilledRunKeepsEveryLiveSlotBelowTheUsedBound) {
+  // A forked child runs transactions with the advancer on until SIGKILL
+  // lands at a seeded point, after its allocations crossed at least four
+  // bound chunks. The reopened region must hold no live slot at or above
+  // its used bound, and recover() must return exactly the slots the
+  // recovery predicate accepts over the whole capacity.
+  constexpr std::size_t kChunk = PRegion::kBoundChunk;
+  constexpr std::size_t kCap = 16 * kChunk;
+  constexpr std::uint64_t kFresh = 8;     // new keys per transaction
+  constexpr std::uint64_t kMaxTx = 4000;  // kMaxTx * (kFresh + 1) < kCap
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto path = temp_region("txm_kill");
+    medley::util::Xoshiro256 rng(seed);
+    // 2000 commits allocate over 16000 fresh slots: four chunks at least.
+    const std::uint64_t kill_at = 2000 + rng.next_bounded(1500);
+    const auto kill_delay = std::chrono::microseconds(rng.next_bounded(500));
+    void* shared = ::mmap(nullptr, sizeof(std::atomic<std::uint64_t>),
+                          PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                          -1, 0);
+    ASSERT_NE(shared, MAP_FAILED);
+    auto* commits = new (shared) std::atomic<std::uint64_t>(0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      PRegion region(path, kCap);
+      TxManager mgr;
+      EpochSys es(&region);
+      es.attach(&mgr);
+      TxMontageHashTable m(&mgr, &es, 1, 4096);
+      es.start_advancer(1);
+      medley::util::Xoshiro256 ops(seed + 100);
+      for (std::uint64_t t = 0; t < kMaxTx; t++) {
+        medley::execute_tx(mgr, [&] {
+          for (std::uint64_t j = 0; j < kFresh; j++) {
+            m.insert(t * kFresh + j, t);
+          }
+          m.put(ops.next_bounded((t + 1) * kFresh), t + 1);
+          m.remove(ops.next_bounded((t + 1) * kFresh));
+        });
+        commits->fetch_add(1, std::memory_order_release);
+      }
+      for (;;) ::pause();  // the parent's SIGKILL ends every path
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(300);
+    int status = 0;
+    bool exited = false;
+    while (commits->load(std::memory_order_acquire) < kill_at &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) {
+        exited = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    std::this_thread::sleep_for(kill_delay);
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    }
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "child ended before the kill, status " << status;
+    ASSERT_GE(commits->load(), kill_at);
+    ::munmap(shared, sizeof(std::atomic<std::uint64_t>));
+
+    PRegion region(path, kCap);
+    ASSERT_FALSE(region.fresh());
+    const std::uint64_t bound = region.header().used_bound.load();
+    EXPECT_GE(bound, 4 * kChunk);
+    EXPECT_LE(bound, kCap);
+    const std::uint64_t pe = region.header().persisted_epoch.load();
+    std::set<PBlk*> expected;
+    std::size_t live_past_bound = 0;
+    for (std::size_t i = 0; i < kCap; i++) {
+      PBlk* b = region.slot(i);
+      if (b->magic.load() != PBlk::kMagicLive) continue;
+      if (i >= bound) live_past_bound++;
+      const std::uint64_t ce = b->create_epoch.load();
+      const std::uint64_t re = b->retire_epoch.load();
+      if (ce <= pe && (re == 0 || re > pe)) expected.insert(b);
+    }
+    EXPECT_EQ(live_past_bound, 0u);
+    EpochSys es(&region);
+    const auto recovered = es.recover();
+    EXPECT_EQ(std::set<PBlk*>(recovered.begin(), recovered.end()), expected);
+    EXPECT_EQ(recovered.size(), expected.size());
+    // Failure atomicity: a put's new payload and its predecessor's
+    // retirement share one epoch, so each key survives at most once.
+    std::set<std::uint64_t> keys;
+    for (PBlk* b : recovered) EXPECT_TRUE(keys.insert(b->key).second);
+    std::remove(path.c_str());
+  }
 }
